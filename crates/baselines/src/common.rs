@@ -9,7 +9,7 @@
 //! costs are charged against the *server's* CPU/PM/NIC resources, so
 //! contention across concurrent clients is still captured.
 
-use prdma::{ObjectStore, Request, Response, RpcError, RpcResult, ServerProfile};
+use prdma::{ObjectStore, Request, Response, RpcResult, ServerProfile};
 use prdma_node::{Cluster, Node};
 use prdma_rnic::{MemTarget, Payload, Qp, QpMode};
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
@@ -193,12 +193,6 @@ pub async fn reply_by_send(
     // The client's recv path pays full two-sided dispatch, not a poll.
     client_node.cpu.parse_request().await;
     Ok(true)
-}
-
-/// Map an unexpected transport error into an RPC error (helper for
-/// baseline implementations).
-pub fn transport_err(e: prdma_rnic::RdmaError) -> RpcError {
-    RpcError::from(e)
 }
 
 /// Journal the start of one baseline RPC on the client node: allocates an

@@ -104,11 +104,6 @@ impl SystemKind {
         }
     }
 
-    /// Whether this is one of the paper's durable RPCs.
-    pub fn is_durable_rpc(self) -> bool {
-        Self::OURS.contains(&self)
-    }
-
     /// The matching durable kind, if any.
     pub fn durable_kind(self) -> Option<DurableKind> {
         match self {

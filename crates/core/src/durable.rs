@@ -10,12 +10,15 @@
 //! persistence point loses nothing: recovery replays the incomplete log
 //! entries without any client re-transmission.
 //!
-//! | kind | transport in | durability signal |
+//! The four kinds are a 2×2 grid, and the client has that shape: every
+//! logging entry point (put, tagged put, record append, batched puts)
+//! runs one persist step, `DurableClient::persist`, which picks the append
+//! by transport in one place and the wait by initiator in another.
+//!
+//! | | sender-initiated (flush ACK) | receiver-initiated (persist-ACK) |
 //! |---|---|---|
-//! | `WFlush`   | RDMA write | sender-issued `WFlush` ACK |
-//! | `SFlush`   | RDMA send  | sender-issued `SFlush` ACK |
-//! | `W-RFlush` | RDMA write | receiver CPU persists + ACK write |
-//! | `S-RFlush` | RDMA send  | receiver CPU persists + ACK write |
+//! | **one-sided write** | `WFlush`: `append_write_batch`, then `wflush` on the last probe | `W-RFlush`: `append_write_batch`, then the arrival channel feeds `ServerCore::deliver`, which persists and ACKs |
+//! | **two-sided send**  | `SFlush`: `append_send` per entry, then `sflush` on the last probe | `S-RFlush`: `append_send` per entry, then the recv loop feeds `ServerCore::deliver`, which persists and ACKs |
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -26,12 +29,15 @@ use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
 use prdma_simnet::metrics::{Counter, Gauge, Key, Window};
 use prdma_simnet::rng::SmallRng;
 use prdma_simnet::trace::{Phase, Role};
-use prdma_simnet::{channel, OneshotPool, OneshotSender, Receiver, Sender, SimDuration};
+use prdma_simnet::{
+    channel, OneshotPool, OneshotReceiver, OneshotSender, Receiver, Sender, SimDuration,
+};
 
 use crate::flush::{FlushImpl, FlushOps};
 use crate::log::{
-    entry_data_part, entry_index_from_image, LogCursor, LogEntry, LogLayout, OpCode, RedoLog,
-    RemoteLogWriter, RpcOperator, ENTRY_FOOTER, ENTRY_HEADER, LOG_HEADER_BYTES, REPL_ID_BYTES,
+    entry_data_part, entry_index_from_image, Appended, LogCursor, LogEntry, LogLayout, OpCode,
+    RedoLog, RemoteLogWriter, RpcOperator, ENTRY_FOOTER, ENTRY_HEADER, LOG_HEADER_BYTES,
+    REPL_ID_BYTES,
 };
 use crate::rpc::{
     Request, Response, RetryPolicy, RpcClient, RpcError, RpcFuture, RpcResult, ServerProfile,
@@ -109,7 +115,11 @@ pub struct DurableConfig {
     pub throttle_backoff: SimDuration,
     /// Persist the log head every N completions (1 = every completion).
     /// Larger values keep PM media work off the completion path at the
-    /// cost of replaying up to N idempotent entries after a crash.
+    /// cost of replaying up to N idempotent entries after a crash. The
+    /// effective interval is clamped to `max(1, log_slots / 2)`: the
+    /// sender never reuses a slot beyond the durable head, so a ring of
+    /// `log_slots ≤ N + 1` could never complete enough entries to persist
+    /// the head and would stall the sender.
     pub head_persist_interval: u64,
     /// Client-side per-request timeout and bounded retry, used to ride
     /// out packet loss and server crashes. The defaults never fire on a
@@ -274,17 +284,23 @@ struct ClientMetrics {
 
 /// The server endpoint of a durable RPC connection.
 pub struct DurableServer {
+    core: Rc<ServerCore>,
+    log_qp_server: Qp,
+    get_qp_server: Qp,
+    /// The worker-pool and write-arrival queues, taken by [`start`].
+    ///
+    /// [`start`]: DurableServer::start
+    queues: RefCell<Option<(Receiver<Work>, Receiver<Arrival>)>>,
+}
+
+/// What the server's arrival loops and worker tasks share.
+struct ServerCore {
     node: Node,
     log: RedoLog,
     store: ObjectStore,
     resp_qp: Qp,
-    log_qp_server: Qp,
-    get_qp_server: Qp,
     shared: Rc<Shared>,
-    work_rx: RefCell<Option<Receiver<Work>>>,
-    arrival_rx: RefCell<Option<Receiver<Arrival>>>,
     profile: ServerProfile,
-    kind: DurableKind,
 }
 
 /// Build a durable RPC connection between `client_idx` and `server_idx`
@@ -332,7 +348,10 @@ pub fn build_durable(
 
     let cursor = LogCursor::new();
     let log = RedoLog::new(server.pm.clone(), layout, cursor.clone());
-    log.set_head_persist_interval(cfg.head_persist_interval);
+    // Clamp the head-persist interval to half the ring: the sender's wrap
+    // guard waits for the *durable* head, so an interval the ring cannot
+    // hold in completions would stall it for good.
+    log.set_head_persist_interval(cfg.head_persist_interval.min((cfg.log_slots / 2).max(1)));
     // Journal id namespace: a log's identity is (server, lane), not lane
     // alone — two shards each serving the same client reuse lane numbers,
     // and the auditor's recovery invariant must never conflate their
@@ -429,17 +448,17 @@ pub fn build_durable(
         next_batch_id: Cell::new(0),
     };
     let server_ep = DurableServer {
-        node: server,
-        log,
-        store,
-        resp_qp,
+        core: Rc::new(ServerCore {
+            node: server,
+            log,
+            store,
+            resp_qp,
+            shared,
+            profile: cfg.profile,
+        }),
         log_qp_server,
         get_qp_server,
-        shared,
-        work_rx: RefCell::new(Some(work_rx)),
-        arrival_rx: RefCell::new(Some(arrival_rx)),
-        profile: cfg.profile,
-        kind: cfg.kind,
+        queues: RefCell::new(Some((work_rx, arrival_rx))),
     };
     (client_ep, server_ep)
 }
@@ -452,59 +471,61 @@ fn align8(v: u64) -> u64 {
 impl DurableServer {
     /// The redo log (tests, recovery drills).
     pub fn log(&self) -> &RedoLog {
-        &self.log
+        &self.core.log
     }
 
     /// The object store.
     pub fn store(&self) -> &ObjectStore {
-        &self.store
+        &self.core.store
     }
 
     /// The server node.
     pub fn node(&self) -> &Node {
-        &self.node
+        &self.core.node
     }
 
     /// Puts processed (applied + marked done) so far.
     pub fn puts_processed(&self) -> u64 {
-        self.shared.puts_processed.get()
+        self.core.shared.puts_processed.get()
     }
 
     /// Entries logged (arrived durable-or-staged) so far.
     pub fn puts_logged(&self) -> u64 {
-        self.shared.puts_logged.get()
+        self.core.shared.puts_logged.get()
     }
 
     /// Replicated-put retry duplicates skipped at apply time.
     pub fn puts_deduped(&self) -> u64 {
-        self.shared.puts_deduped.get()
+        self.core.shared.puts_deduped.get()
     }
 
     /// Start the server loops: arrival listeners and the worker pool.
     pub fn start(&self) {
         let h = self.log_qp_server.local().handle().clone();
+        let (mut work_rx, mut arrival_rx) = self
+            .queues
+            .borrow_mut()
+            .take()
+            .expect("server already started");
 
-        if self.kind.is_send_based() {
+        if self.core.shared.kind.is_send_based() {
             // Recv loop over the log QP, pre-posting recv buffers at
             // upcoming slots (models the SFlush RNIC resolving the
             // destination address from the packet itself).
             let qp = self.log_qp_server.clone();
-            let layout = *self.log.layout();
-            let shared = Rc::clone(&self.shared);
-            let node = self.node.clone();
-            let resp_qp = self.resp_qp.clone();
-            let log = self.log.clone();
+            let layout = *self.core.log.layout();
+            let core = Rc::clone(&self.core);
             let window = (layout.slots / 2).max(1);
             for i in 0..window {
                 qp.post_recv(MemTarget::Pm(layout.slot_addr(i)));
             }
-            shared.next_recv_index.set(window);
+            core.shared.next_recv_index.set(window);
             h.spawn(async move {
                 loop {
                     let c = qp.recv().await;
-                    let next = shared.next_recv_index.get();
+                    let next = core.shared.next_recv_index.get();
                     qp.post_recv(MemTarget::Pm(layout.slot_addr(next)));
-                    shared.next_recv_index.set(next + 1);
+                    core.shared.next_recv_index.set(next + 1);
                     // The packet identifies its own entry (the SFlush
                     // RNIC resolves the destination from the message).
                     // Counting completions instead would desynchronise
@@ -513,21 +534,10 @@ impl DurableServer {
                     let Some(index) = entry_index_from_image(&c.payload) else {
                         continue;
                     };
-                    // Software handling stalls while the service is down;
-                    // the NIC-side absorption above (recv into PM slots)
-                    // keeps running — that is the log-absorption property.
-                    node.wait_service_up().await;
-                    let arrival =
-                        handle_arrival(&shared, &node, &resp_qp, &log, index, c.payload, c.durable);
-                    if shared.kind.is_receiver_initiated() {
-                        // RFlush: the client waits for the persist-ACK this
-                        // path produces — it is on the critical path.
-                        arrival.await;
-                    } else {
-                        // SFlush: the client returned at the flush ACK;
-                        // arrival handling is decoupled.
-                        node.tracer().offpath_scope(arrival).await;
-                    }
+                    // The NIC-side absorption above (recv into PM slots)
+                    // keeps running while the service is down — that is
+                    // the log-absorption property.
+                    core.deliver(index, c.payload, c.durable).await;
                 }
             });
 
@@ -550,29 +560,13 @@ impl DurableServer {
             });
         } else {
             // Write-based kinds: the server polls the log tail; the
-            // arrival channel fires when an entry's DMA lands.
-            let mut rx = self
-                .arrival_rx
-                .borrow_mut()
-                .take()
-                .expect("server already started");
-            let shared = Rc::clone(&self.shared);
-            let node = self.node.clone();
-            let resp_qp = self.resp_qp.clone();
-            let log = self.log.clone();
+            // arrival channel fires when an entry's DMA lands. One-sided
+            // appends land regardless of software liveness; *noticing*
+            // them needs a live service.
+            let core = Rc::clone(&self.core);
             h.spawn(async move {
-                while let Some(a) = rx.recv().await {
-                    // One-sided appends land regardless of software
-                    // liveness; *noticing* them needs a live service.
-                    node.wait_service_up().await;
-                    let arrival =
-                        handle_arrival(&shared, &node, &resp_qp, &log, a.index, a.data, a.durable);
-                    if shared.kind.is_receiver_initiated() {
-                        arrival.await;
-                    } else {
-                        // WFlush: decoupled from the client's flush ACK.
-                        node.tracer().offpath_scope(arrival).await;
-                    }
+                while let Some(a) = arrival_rx.recv().await {
+                    core.deliver(a.index, a.data, a.durable).await;
                 }
             });
         }
@@ -580,54 +574,22 @@ impl DurableServer {
         // Worker pool: a dispatcher spawns one handler task per RPC (the
         // paper: "a thread is created to handle the RPC requests"), with
         // concurrency bounded by a semaphore of `worker_threads`.
-        let mut rx = self
-            .work_rx
-            .borrow_mut()
-            .take()
-            .expect("server already started");
-        let pool = prdma_simnet::Semaphore::new(self.profile.worker_threads.max(1));
-        let node = self.node.clone();
-        let log = self.log.clone();
-        let store = self.store.clone();
-        let resp_qp = self.resp_qp.clone();
-        let shared = Rc::clone(&self.shared);
-        let profile = self.profile.clone();
+        // Each handler marks entries done on its own clone of the log as
+        // it stood here. `RedoLog` clones do not share their persisted-head
+        // cell, so handlers persist the head on every completion once it
+        // is `head_persist_interval` past its value at start; the pinned
+        // fingerprints and fig tables depend on that cadence.
+        let pool = prdma_simnet::Semaphore::new(self.core.profile.worker_threads.max(1));
+        let core = Rc::clone(&self.core);
+        let log = self.core.log.clone();
         h.clone().spawn(async move {
-            while let Some(work) = rx.recv().await {
-                node.wait_service_up().await;
+            while let Some(work) = work_rx.recv().await {
+                core.node.wait_service_up().await;
                 let permit = pool.acquire().await;
-                let node = node.clone();
-                let log = log.clone();
-                let store = store.clone();
-                let resp_qp = resp_qp.clone();
-                let shared = Rc::clone(&shared);
-                let profile = profile.clone();
+                let (core, log) = (Rc::clone(&core), log.clone());
                 h.spawn(async move {
                     let _permit = permit;
-                    match work {
-                        Work::Entry { index, data } => {
-                            // Processing is decoupled from the durability
-                            // ACK under every kind — off the critical path.
-                            node.tracer()
-                                .offpath_scope(process_entry(
-                                    &node, &log, &store, &profile, &shared, index, data,
-                                ))
-                                .await;
-                            shared.puts_processed.set(shared.puts_processed.get() + 1);
-                            if let Some(c) = &shared.m_puts_processed {
-                                c.incr(1);
-                            }
-                        }
-                        Work::Get {
-                            obj,
-                            len,
-                            count,
-                            reply,
-                        } => {
-                            serve_get(&node, &store, &resp_qp, &profile, obj, len, count, reply)
-                                .await;
-                        }
-                    }
+                    core.serve(&log, work).await;
                 });
             }
         });
@@ -637,12 +599,13 @@ impl DurableServer {
     /// them for processing (no client re-transmission — the paper's
     /// headline recovery property). Returns what was recovered.
     pub fn recover_and_requeue(&self) -> Vec<LogEntry> {
-        let pending = self.log.recover();
-        self.shared.puts_logged.set(self.log.cursor().tail());
-        if let Some(m) = self.node.metrics() {
+        let core = &self.core;
+        let pending = core.log.recover();
+        core.shared.puts_logged.set(core.log.cursor().tail());
+        if let Some(m) = core.node.metrics() {
             m.incr(Key::new("log_replayed"), pending.len() as u64);
         }
-        if self.kind.is_send_based() {
+        if core.shared.kind.is_send_based() {
             // Re-arm the recv ring. A send in flight at the crash
             // consumed a recv WQE that can never complete (the NIC that
             // would have written its CQE lost power), so the surviving
@@ -651,22 +614,17 @@ impl DurableServer {
             // dropped as invalid, wedging the connection for good.
             // Flush the ring — QP-error semantics — and re-post a full
             // window starting at the slot the client will append next.
-            let layout = *self.log.layout();
+            let layout = *core.log.layout();
             let window = (layout.slots / 2).max(1);
-            let tail = self.log.cursor().tail();
+            let tail = core.log.cursor().tail();
             self.log_qp_server.flush_recvs();
             for i in tail..tail + window {
                 self.log_qp_server
                     .post_recv(MemTarget::Pm(layout.slot_addr(i)));
             }
-            self.shared.next_recv_index.set(tail + window);
+            core.shared.next_recv_index.set(tail + window);
         }
-        for e in &pending {
-            let _ = self.shared.work_tx.send(Work::Entry {
-                index: e.index,
-                data: Payload::from_bytes(e.payload.clone()),
-            });
-        }
+        self.requeue(&pending);
         pending
     }
 
@@ -680,185 +638,262 @@ impl DurableServer {
     ///
     /// [`recover_and_requeue`]: DurableServer::recover_and_requeue
     pub fn recover_service_and_requeue(&self) -> usize {
-        let pending = self.log.scan_pending();
-        let n = pending.len();
+        let pending = self.core.log.scan_pending();
+        self.requeue(&pending);
+        pending.len()
+    }
+
+    /// Hand recovered entries to the worker pool in log order.
+    fn requeue(&self, pending: &[LogEntry]) {
         for e in pending {
-            let _ = self.shared.work_tx.send(Work::Entry {
+            let _ = self.core.shared.work_tx.send(Work::Entry {
                 index: e.index,
-                data: Payload::from_bytes(e.payload),
+                data: Payload::from_bytes(e.payload.clone()),
             });
         }
-        n
     }
 }
 
-/// Handle an arrived log entry: receiver-initiated kinds persist and ACK;
-/// all kinds enqueue processing work.
-async fn handle_arrival(
-    shared: &Rc<Shared>,
-    node: &Node,
-    resp_qp: &Qp,
-    log: &RedoLog,
-    index: u64,
-    image: Payload,
-    durable_on_arrival: bool,
-) {
-    // An arrival whose slot never became a valid committed entry (its DMA
-    // was aborted by a crash) or that was already applied (a stale
-    // notification after a recovery replay) must not be counted, ACKed,
-    // or processed — recovery accounts for it instead.
-    match log.read_entry(index) {
-        Some(e) if !e.done => {}
-        _ => return,
+impl ServerCore {
+    /// The tail both arrival loops share (each detects arrivals its own
+    /// way): notice the entry once the service is up. Under
+    /// receiver-initiated kinds the client waits for the persist-ACK this
+    /// produces, so it is on the critical path; under sender-initiated
+    /// kinds the client returned at its flush ACK, so it is off-path.
+    async fn deliver(&self, index: u64, image: Payload, durable_on_arrival: bool) {
+        self.node.wait_service_up().await;
+        let arrival = self.handle_arrival(index, image, durable_on_arrival);
+        if self.shared.kind.is_receiver_initiated() {
+            arrival.await;
+        } else {
+            self.node.tracer().offpath_scope(arrival).await;
+        }
     }
-    shared.puts_logged.set(shared.puts_logged.get() + 1);
-    if let Some(c) = &shared.m_puts_logged {
-        c.incr(1);
-    }
-    let data = entry_data_part(&image);
 
-    // The receiver CPU notices the message by polling.
-    node.cpu.poll_dispatch().await;
+    /// Handle an arrived log entry: receiver-initiated kinds persist and
+    /// ACK; all kinds enqueue processing work.
+    async fn handle_arrival(&self, index: u64, image: Payload, durable_on_arrival: bool) {
+        let shared = &self.shared;
+        // An arrival whose slot never became a valid committed entry (its DMA
+        // was aborted by a crash) or that was already applied (a stale
+        // notification after a recovery replay) must not be counted, ACKed,
+        // or processed — recovery accounts for it instead.
+        match self.log.read_entry(index) {
+            Some(e) if !e.done => {}
+            _ => return,
+        }
+        shared.puts_logged.set(shared.puts_logged.get() + 1);
+        if let Some(c) = &shared.m_puts_logged {
+            c.incr(1);
+        }
+        let data = entry_data_part(&image);
 
-    if shared.kind.is_receiver_initiated() {
-        // RFlush: ensure durability, then ACK persistence immediately.
-        if !durable_on_arrival {
-            // DDIO routed it into the LLC: flush the entry range.
-            let layout = log.layout();
-            let addr = layout.slot_addr(index);
-            let len = ENTRY_HEADER + align8(data.len()) + ENTRY_FOOTER;
-            if node.pm.is_persisted(addr, len) {
-                // Synthetic payload path: charge the flush time.
-                node.pm.simulate_clflush_time(len).await;
-            } else {
-                let _ = node.pm.clflush(addr, len).await;
+        // The receiver CPU notices the message by polling.
+        self.node.cpu.poll_dispatch().await;
+
+        if shared.kind.is_receiver_initiated() {
+            // RFlush: ensure durability, then ACK persistence immediately.
+            if !durable_on_arrival {
+                // DDIO routed it into the LLC: flush the entry range.
+                let layout = self.log.layout();
+                let addr = layout.slot_addr(index);
+                let len = ENTRY_HEADER + align8(data.len()) + ENTRY_FOOTER;
+                if self.node.pm.is_persisted(addr, len) {
+                    // Synthetic payload path: charge the flush time.
+                    self.node.pm.simulate_clflush_time(len).await;
+                } else {
+                    let _ = self.node.pm.clflush(addr, len).await;
+                }
+            }
+            // Persist-ACK: small write into the client's ack slot. The client
+            // waiter fires only on the entry it is waiting for (the last of a
+            // batch).
+            if let Ok(tok) = self
+                .resp_qp
+                .write(MemTarget::Dram(ACK_ADDR), Payload::synthetic(8, index))
+                .await
+            {
+                let waiter = if shared.puts_logged.get() >= shared.ack_after.get() {
+                    shared.ack_waiter.borrow_mut().take()
+                } else {
+                    None
+                };
+                let h = self.resp_qp.local().handle().clone();
+                h.spawn(async move {
+                    tok.wait().await;
+                    if let Some(w) = waiter {
+                        w.send(());
+                    }
+                });
             }
         }
-        // Persist-ACK: small write into the client's ack slot. The client
-        // waiter fires only on the entry it is waiting for (the last of a
-        // batch).
-        if let Ok(tok) = resp_qp
-            .write(MemTarget::Dram(ACK_ADDR), Payload::synthetic(8, index))
-            .await
-        {
-            let waiter = if shared.puts_logged.get() >= shared.ack_after.get() {
-                shared.ack_waiter.borrow_mut().take()
-            } else {
-                None
-            };
-            let h = resp_qp.local().handle().clone();
-            h.spawn(async move {
-                tok.wait().await;
-                if let Some(w) = waiter {
-                    w.send(());
+
+        let _ = shared.work_tx.send(Work::Entry { index, data });
+    }
+
+    /// Run one work item on a pool thread, against the handler's `log`.
+    async fn serve(&self, log: &RedoLog, work: Work) {
+        match work {
+            Work::Entry { index, data } => {
+                // Processing is decoupled from the durability ACK under
+                // every kind — off the critical path.
+                self.node
+                    .tracer()
+                    .offpath_scope(self.process_entry(log, index, data))
+                    .await;
+                let shared = &self.shared;
+                shared.puts_processed.set(shared.puts_processed.get() + 1);
+                if let Some(c) = &shared.m_puts_processed {
+                    c.incr(1);
                 }
-            });
+            }
+            Work::Get {
+                obj,
+                len,
+                count,
+                reply,
+            } => self.serve_get(obj, len, count, reply).await,
         }
     }
 
-    let _ = shared.work_tx.send(Work::Entry { index, data });
-}
-
-/// Process one logged entry: thread dispatch, the injected RPC processing
-/// time, apply to the object store, and durable completion marking.
-async fn process_entry(
-    node: &Node,
-    log: &RedoLog,
-    store: &ObjectStore,
-    profile: &ServerProfile,
-    shared: &Rc<Shared>,
-    index: u64,
-    data: Payload,
-) {
-    // Idempotence guard: a service-restart replay can race an
-    // already-queued arrival (or a retried client append) for the same
-    // entry; only the first processing applies it.
-    let Some(entry) = log.read_entry(index) else {
-        return;
-    };
-    if entry.done {
-        return;
-    }
-    node.cpu.dispatch_thread().await;
-    if matches!(
-        entry.op.opcode,
-        OpCode::TxnPrepare | OpCode::TxnDecide | OpCode::TxnCommit | OpCode::TxnAbort
-    ) {
-        crate::txn::process_txn_entry(node, log, store, shared.txn.as_ref(), &entry).await;
-        return;
-    }
-    if entry.op.opcode == OpCode::RPut {
-        // Replicated put: the payload's first REPL_ID_BYTES are the
-        // causal put id. A retry after a partial replication failure
-        // re-appends the same id; only the first apply hits the store
-        // (exactly-once apply under at-least-once append).
-        let id = u64::from_le_bytes(
-            entry.payload[..REPL_ID_BYTES as usize]
-                .try_into()
-                .expect("RPut payload shorter than its id prefix"),
-        );
-        if !log.note_applied(id) {
-            shared.puts_deduped.set(shared.puts_deduped.get() + 1);
-            let _ = log.mark_done(index).await;
+    /// Process one logged entry: thread dispatch, the injected RPC
+    /// processing time, apply to the object store, and durable completion
+    /// marking.
+    async fn process_entry(&self, log: &RedoLog, index: u64, data: Payload) {
+        // Idempotence guard: a service-restart replay can race an
+        // already-queued arrival (or a retried client append) for the same
+        // entry; only the first processing applies it.
+        let Some(entry) = log.read_entry(index) else {
+            return;
+        };
+        if entry.done {
             return;
         }
-        if profile.processing_time > SimDuration::ZERO {
-            node.cpu.compute(profile.processing_time).await;
+        self.node.cpu.dispatch_thread().await;
+        let body = match entry.op.opcode {
+            OpCode::TxnPrepare | OpCode::TxnDecide | OpCode::TxnCommit | OpCode::TxnAbort => {
+                crate::txn::process_txn_entry(
+                    &self.node,
+                    log,
+                    &self.store,
+                    self.shared.txn.as_ref(),
+                    &entry,
+                )
+                .await;
+                return;
+            }
+            OpCode::RPut => {
+                // Replicated put: the payload's first REPL_ID_BYTES are the
+                // causal put id. A retry after a partial replication failure
+                // re-appends the same id; only the first apply hits the store
+                // (exactly-once apply under at-least-once append).
+                let id = u64::from_le_bytes(
+                    entry.payload[..REPL_ID_BYTES as usize]
+                        .try_into()
+                        .expect("RPut payload shorter than its id prefix"),
+                );
+                if !log.note_applied(id) {
+                    self.shared
+                        .puts_deduped
+                        .set(self.shared.puts_deduped.get() + 1);
+                    let _ = log.mark_done(index).await;
+                    return;
+                }
+                Payload::from_bytes(entry.payload[REPL_ID_BYTES as usize..].to_vec())
+            }
+            // Apply: the operator comes from the log entry, the data
+            // travelled with the work item.
+            _ => data,
+        };
+        if self.profile.processing_time > SimDuration::ZERO {
+            self.node.cpu.compute(self.profile.processing_time).await;
         }
-        let body = Payload::from_bytes(entry.payload[REPL_ID_BYTES as usize..].to_vec());
-        let _ = store.put(entry.op.obj_id, &body).await;
+        let _ = self.store.put(entry.op.obj_id, &body).await;
         let _ = log.mark_done(index).await;
-        return;
     }
-    if profile.processing_time > SimDuration::ZERO {
-        node.cpu.compute(profile.processing_time).await;
+
+    /// Serve a Get/Scan: processing time, media reads, response write.
+    async fn serve_get(&self, obj: u64, len: u64, count: u32, reply: OneshotSender<Payload>) {
+        // Read-only requests are served run-to-completion on the polling core
+        // (FaRM/HERD-style); only logged updates take the handler-pool hop.
+        self.node.cpu.poll_dispatch().await;
+        if self.profile.processing_time > SimDuration::ZERO {
+            self.node.cpu.compute(self.profile.processing_time).await;
+        }
+        let mut total = 0u64;
+        for i in 0..count.max(1) as u64 {
+            let p = self
+                .store
+                .get(obj + i, len)
+                .await
+                .unwrap_or(Payload::synthetic(0, 0));
+            total += p.len();
+        }
+        let payload = Payload::synthetic(total, obj);
+        if let Ok(tok) = self
+            .resp_qp
+            .write(MemTarget::Dram(RESP_ADDR), payload.clone())
+            .await
+        {
+            let h = self.resp_qp.local().handle().clone();
+            h.spawn(async move {
+                tok.wait().await;
+                reply.send(payload);
+            });
+        } else {
+            // Server->client path failed (client down?): the dropped reply
+            // resolves the caller's oneshot to None and surfaces an error.
+            drop(reply);
+        }
     }
-    // Apply: the operator comes from the log entry, the data travelled
-    // with the work item.
-    let _ = store.put(entry.op.obj_id, &data).await;
-    let _ = log.mark_done(index).await;
 }
 
-/// Serve a Get/Scan: processing time, media reads, response write.
-#[allow(clippy::too_many_arguments)]
-async fn serve_get(
-    node: &Node,
-    store: &ObjectStore,
-    resp_qp: &Qp,
-    profile: &ServerProfile,
-    obj: u64,
-    len: u64,
-    count: u32,
-    reply: OneshotSender<Payload>,
-) {
-    // Read-only requests are served run-to-completion on the polling core
-    // (FaRM/HERD-style); only logged updates take the handler-pool hop.
-    node.cpu.poll_dispatch().await;
-    if profile.processing_time > SimDuration::ZERO {
-        node.cpu.compute(profile.processing_time).await;
+/// One redo-log entry handed to [`DurableClient::persist`].
+struct LogItem {
+    op: RpcOperator,
+    data: Payload,
+    /// Causal root of a replicated put, journaled as a `ReplLink` to the
+    /// entry's rpc id.
+    link: Option<u64>,
+}
+
+impl LogItem {
+    fn new(opcode: OpCode, obj_id: u64, data: Payload) -> Self {
+        LogItem {
+            op: RpcOperator { opcode, obj_id },
+            data,
+            link: None,
+        }
     }
-    let mut total = 0u64;
-    for i in 0..count.max(1) as u64 {
-        let p = store
-            .get(obj + i, len)
-            .await
-            .unwrap_or(Payload::synthetic(0, 0));
-        total += p.len();
+
+    /// A put carrying causal id `id`: logged as [`OpCode::RPut`] with the
+    /// id prefixed to the payload, so apply-time dedup makes a retried
+    /// append exactly-once.
+    fn with_id(obj: u64, data: Payload, id: u64) -> Self {
+        let data = Payload::composite(vec![Payload::from_bytes(id.to_le_bytes().to_vec()), data]);
+        LogItem::new(OpCode::RPut, obj, data)
     }
-    let payload = Payload::synthetic(total, obj);
-    if let Ok(tok) = resp_qp
-        .write(MemTarget::Dram(RESP_ADDR), payload.clone())
-        .await
-    {
-        let h = resp_qp.local().handle().clone();
-        h.spawn(async move {
-            tok.wait().await;
-            reply.send(payload);
-        });
-    } else {
-        // Server->client path failed (client down?): the dropped reply
-        // resolves the caller's oneshot to None and surfaces an error.
-        drop(reply);
+
+    fn is_put(&self) -> bool {
+        matches!(self.op.opcode, OpCode::Put | OpCode::RPut)
+    }
+}
+
+/// How the persist step learns its entries are durable, fixed before the
+/// first entry is appended.
+enum Wait {
+    /// Sender-initiated kinds: the client's own `WFlush` / `SFlush` on the
+    /// last entry's probe.
+    Flush,
+    /// Receiver-initiated kinds: the server's persist-ACK of the last entry.
+    Ack(OneshotReceiver<()>),
+}
+
+/// The acknowledgement of a durable put.
+fn durable_ack() -> Response {
+    Response {
+        payload: None,
+        durable: true,
     }
 }
 
@@ -877,27 +912,124 @@ impl DurableClient {
         }
     }
 
-    /// Link a replicated put's causal root id (`tag`) to this sub-put's
-    /// log-derived rpc id — the span-tree edge the analyzer follows from
-    /// the root to each replica's fan-out leg.
-    fn jot_link(&self, tag: Option<u64>, rpc_id: u64, bytes: u64) {
-        if let (Some(root), Some(j)) = (tag, self.client_node.journal()) {
+    /// The persist step behind every logging entry point: put, tagged put,
+    /// record append and batched puts. Appends `items` (n ≥ 1) to the
+    /// server's redo log and returns once all of them are durable, with
+    /// the last entry's journal rpc id. Callers never pass an empty batch.
+    /// Three stages:
+    ///
+    /// 1. **Register.** Receiver-initiated kinds arm the persist-ACK
+    ///    waiter for the n-th entry from now, before anything can arrive.
+    /// 2. **Append by transport.** Writes post all n entries behind one
+    ///    doorbell; sends post one per entry, in order. Each entry then
+    ///    journals its dispatch (and replication link), puts revoke cached
+    ///    leases on their key, and written entries get an arrival
+    ///    notifier for the server's polling thread.
+    /// 3. **Wait by initiator.** The sender's flush on the last probe, or
+    ///    the receiver's persist-ACK of the last entry.
+    ///
+    /// Puts count into the `puts` / `put_bytes` metrics; records do not.
+    async fn persist(&self, items: Vec<LogItem>) -> RpcResult<u64> {
+        let wait = if self.kind.is_receiver_initiated() {
+            let (tx, rx) = self.ack_pool.oneshot();
+            *self.shared.ack_waiter.borrow_mut() = Some(tx);
+            self.shared
+                .ack_after
+                .set(self.shared.puts_logged.get() + items.len() as u64);
+            Wait::Ack(rx)
+        } else {
+            Wait::Flush
+        };
+        // Composite span: the whole log-append + persistence-wait leg.
+        let _persist = self.client_node.tracer().span(Phase::LogPersist);
+
+        let mut logged = Vec::with_capacity(items.len());
+        let mut probe = None;
+        if self.kind.is_send_based() {
+            for item in items {
+                let appended = self.writer.append_send(item.op, &item.data).await?;
+                probe = Some(appended.probe);
+                logged.push(self.on_logged(&item, appended.index));
+            }
+        } else {
+            let batch = items.iter().map(|i| (i.op, i.data.clone())).collect();
+            let receipts = self.writer.append_write_batch(batch).await?;
+            for (item, appended) in items.into_iter().zip(receipts) {
+                probe = Some(appended.probe);
+                logged.push(self.on_logged(&item, appended.index));
+                self.notify_arrival(appended, item.data);
+            }
+        }
+
+        match wait {
+            Wait::Flush => {
+                let flush = self.writer.flush();
+                if let Some(probe) = probe {
+                    if self.kind.is_send_based() {
+                        flush.sflush(probe).await?;
+                    } else {
+                        flush.wflush(probe).await?;
+                    }
+                }
+            }
+            Wait::Ack(rx) => {
+                let wait = self.client_node.tracer().span(Phase::FlushWait);
+                rx.await.ok_or(RpcError::ServerDown)?;
+                wait.end();
+                self.client_node.cpu.poll_dispatch().await;
+            }
+        }
+
+        let (mut puts, mut put_bytes, mut rpc_id) = (0, 0, NO_ID);
+        for (id, bytes, is_put) in logged {
+            self.jot_rpc(EventKind::RpcComplete, id, bytes);
+            if is_put {
+                puts += 1;
+                put_bytes += bytes;
+            }
+            rpc_id = id;
+        }
+        if let (true, Some(m)) = (puts > 0, &self.metrics) {
+            m.puts.incr(puts);
+            m.put_bytes.incr(put_bytes);
+        }
+        Ok(rpc_id)
+    }
+
+    /// Journal one just-appended entry: its dispatch under the log-derived
+    /// rpc id and, for a replicated put, the span-tree edge from the causal
+    /// root to this leg. A put then revokes outstanding leases on its key —
+    /// between the append and the persistence wait, so the journaled
+    /// invalidation precedes the put's completion (invariant I5a) and no
+    /// cached read can outlive the data it covers. Returns
+    /// `(rpc_id, bytes, is_put)`.
+    fn on_logged(&self, item: &LogItem, index: u64) -> (u64, u64, bool) {
+        let rpc_id = self.writer.journal_id(index);
+        let bytes = item.data.len();
+        self.jot_rpc(EventKind::RpcDispatch, rpc_id, bytes);
+        if let (Some(root), Some(j)) = (item.link, self.client_node.journal()) {
             j.record(Subsystem::Rpc, EventKind::ReplLink, root, rpc_id, bytes);
         }
-    }
-
-    /// Revoke outstanding leases on `obj` for the put `rpc_id`. Sits
-    /// between the log append and the flush wait, so the journaled
-    /// invalidation always precedes the put's completion (invariant I5a)
-    /// and no cached read can outlive the data it covers.
-    fn lease_bump(&self, obj: u64, rpc_id: u64) {
-        if let Some(lease) = &self.lease {
-            lease.bump(obj, rpc_id, self.client_node.journal());
+        let is_put = item.is_put();
+        if let (true, Some(lease)) = (is_put, &self.lease) {
+            lease.bump(item.op.obj_id, rpc_id, self.client_node.journal());
         }
+        (rpc_id, bytes, is_put)
     }
 
-    async fn do_put(&self, obj: u64, data: Payload) -> RpcResult<Response> {
-        self.do_put_inner(obj, data, None).await
+    /// Hand a written entry to the server's polling thread once its DMA
+    /// lands (see [`ServerCore::handle_arrival`]).
+    fn notify_arrival(&self, appended: Appended, data: Payload) {
+        let shared = Rc::clone(&self.shared);
+        let h = self.get_qp.local().handle().clone();
+        h.spawn(async move {
+            let durable = appended.token.wait().await;
+            let _ = shared.arrival_tx.send(Arrival {
+                index: appended.index,
+                data,
+                durable,
+            });
+        });
     }
 
     /// A put carrying a causal replication id: logged as [`OpCode::RPut`]
@@ -906,205 +1038,31 @@ impl DurableClient {
     /// on a replica that already ACKed. Runs under this client's
     /// [`RetryPolicy`] like [`RpcClient::call`].
     pub async fn put_tagged(&self, obj: u64, data: Payload, put_id: u64) -> RpcResult<Response> {
-        self.retry_loop(|| self.do_put_inner(obj, data.clone(), Some(put_id)))
-            .await
+        self.retry_loop(|| {
+            let mut item = LogItem::with_id(obj, data.clone(), put_id);
+            item.link = Some(put_id);
+            self.persist(vec![item])
+        })
+        .await?;
+        Ok(durable_ack())
     }
 
     /// Durably append an arbitrary log record (transaction prepare /
-    /// decide / commit / abort) and wait for this connection's
-    /// persistence signal — the flush ACK or the receiver persist-ACK,
-    /// per the configured durable kind. Returns the record's journal rpc
-    /// id. The record is *not* applied to the object store here; the
-    /// server's worker pool interprets it (see `process_txn_entry`).
-    /// Appends are at-least-once under the retry wrapper; interpreters
-    /// must tolerate duplicate records for one txn id.
+    /// decide / commit / abort) under this connection's [`RetryPolicy`]
+    /// and wait for its persistence signal — the flush ACK or the
+    /// receiver persist-ACK, per the configured durable kind. Returns the
+    /// record's journal rpc id. The record is *not* applied to the object
+    /// store here; the server's worker pool interprets it (see
+    /// `process_txn_entry`). Appends are at-least-once under retry;
+    /// interpreters must tolerate duplicate records for one txn id.
     pub async fn append_record(
         &self,
         opcode: OpCode,
         obj_id: u64,
         data: Payload,
     ) -> RpcResult<u64> {
-        let op = RpcOperator { opcode, obj_id };
-        let bytes = data.len();
-        let ack_rx = if self.kind.is_receiver_initiated() {
-            let (tx, rx) = self.ack_pool.oneshot();
-            *self.shared.ack_waiter.borrow_mut() = Some(tx);
-            self.shared.ack_after.set(self.shared.puts_logged.get() + 1);
-            Some(rx)
-        } else {
-            None
-        };
-        let _persist = self.client_node.tracer().span(Phase::LogPersist);
-        let rpc_id;
-        if self.kind.is_send_based() {
-            let appended = self.writer.append_send(op, &data).await?;
-            rpc_id = self.writer.journal_id(appended.index);
-            self.jot_rpc(EventKind::RpcDispatch, rpc_id, bytes);
-            match self.kind {
-                DurableKind::SFlush => {
-                    self.writer.flush().sflush(appended.probe).await?;
-                }
-                DurableKind::SRFlush => {
-                    let wait = self.client_node.tracer().span(Phase::FlushWait);
-                    if ack_rx.expect("registered").await.is_none() {
-                        return Err(RpcError::ServerDown);
-                    }
-                    wait.end();
-                    self.client_node.cpu.poll_dispatch().await;
-                }
-                _ => unreachable!(),
-            }
-        } else {
-            let appended = self.writer.append_write(op, &data).await?;
-            rpc_id = self.writer.journal_id(appended.index);
-            self.jot_rpc(EventKind::RpcDispatch, rpc_id, bytes);
-            {
-                let shared = Rc::clone(&self.shared);
-                let token = appended.token;
-                let index = appended.index;
-                let h = self.get_qp.local().handle().clone();
-                h.spawn(async move {
-                    let durable = token.wait().await;
-                    let _ = shared.arrival_tx.send(Arrival {
-                        index,
-                        data,
-                        durable,
-                    });
-                });
-            }
-            match self.kind {
-                DurableKind::WFlush => {
-                    self.writer.flush().wflush(appended.probe).await?;
-                }
-                DurableKind::WRFlush => {
-                    let wait = self.client_node.tracer().span(Phase::FlushWait);
-                    if ack_rx.expect("registered").await.is_none() {
-                        return Err(RpcError::ServerDown);
-                    }
-                    wait.end();
-                    self.client_node.cpu.poll_dispatch().await;
-                }
-                _ => unreachable!(),
-            }
-        }
-        self.jot_rpc(EventKind::RpcComplete, rpc_id, bytes);
-        Ok(rpc_id)
-    }
-
-    /// [`append_record`] under this connection's [`RetryPolicy`].
-    ///
-    /// [`append_record`]: DurableClient::append_record
-    pub async fn append_record_retried(
-        &self,
-        opcode: OpCode,
-        obj_id: u64,
-        data: Payload,
-    ) -> RpcResult<u64> {
-        self.retry_loop(|| self.append_record(opcode, obj_id, data.clone()))
+        self.retry_loop(|| self.persist(vec![LogItem::new(opcode, obj_id, data.clone())]))
             .await
-    }
-
-    async fn do_put_inner(&self, obj: u64, data: Payload, tag: Option<u64>) -> RpcResult<Response> {
-        let (op, data) = match tag {
-            Some(id) => (
-                RpcOperator {
-                    opcode: OpCode::RPut,
-                    obj_id: obj,
-                },
-                Payload::composite(vec![Payload::from_bytes(id.to_le_bytes().to_vec()), data]),
-            ),
-            None => (
-                RpcOperator {
-                    opcode: OpCode::Put,
-                    obj_id: obj,
-                },
-                data,
-            ),
-        };
-        let put_bytes = data.len();
-
-        // Receiver-initiated kinds: register the persist-ack waiter before
-        // anything can arrive.
-        let ack_rx = if self.kind.is_receiver_initiated() {
-            let (tx, rx) = self.ack_pool.oneshot();
-            *self.shared.ack_waiter.borrow_mut() = Some(tx);
-            self.shared.ack_after.set(self.shared.puts_logged.get() + 1);
-            Some(rx)
-        } else {
-            None
-        };
-
-        // Composite span: the whole log-append + persistence-wait leg.
-        let _persist = self.client_node.tracer().span(Phase::LogPersist);
-
-        let rpc_id;
-        if self.kind.is_send_based() {
-            let appended = self.writer.append_send(op, &data).await?;
-            rpc_id = self.writer.journal_id(appended.index);
-            self.jot_rpc(EventKind::RpcDispatch, rpc_id, put_bytes);
-            self.jot_link(tag, rpc_id, put_bytes);
-            self.lease_bump(obj, rpc_id);
-            match self.kind {
-                DurableKind::SFlush => {
-                    self.writer.flush().sflush(appended.probe).await?;
-                }
-                DurableKind::SRFlush => {
-                    let wait = self.client_node.tracer().span(Phase::FlushWait);
-                    if ack_rx.expect("registered").await.is_none() {
-                        return Err(RpcError::ServerDown);
-                    }
-                    wait.end();
-                    self.client_node.cpu.poll_dispatch().await;
-                }
-                _ => unreachable!(),
-            }
-        } else {
-            let appended = self.writer.append_write(op, &data).await?;
-            rpc_id = self.writer.journal_id(appended.index);
-            self.jot_rpc(EventKind::RpcDispatch, rpc_id, put_bytes);
-            self.jot_link(tag, rpc_id, put_bytes);
-            self.lease_bump(obj, rpc_id);
-            // Arrival notification: when the entry's DMA lands, the server
-            // polling thread picks it up (handle_arrival).
-            {
-                let shared = Rc::clone(&self.shared);
-                let token = appended.token;
-                let index = appended.index;
-                let h = self.get_qp.local().handle().clone();
-                h.spawn(async move {
-                    let durable = token.wait().await;
-                    let _ = shared.arrival_tx.send(Arrival {
-                        index,
-                        data,
-                        durable,
-                    });
-                });
-            }
-            match self.kind {
-                DurableKind::WFlush => {
-                    self.writer.flush().wflush(appended.probe).await?;
-                }
-                DurableKind::WRFlush => {
-                    let wait = self.client_node.tracer().span(Phase::FlushWait);
-                    if ack_rx.expect("registered").await.is_none() {
-                        return Err(RpcError::ServerDown);
-                    }
-                    wait.end();
-                    self.client_node.cpu.poll_dispatch().await;
-                }
-                _ => unreachable!(),
-            }
-        }
-
-        self.jot_rpc(EventKind::RpcComplete, rpc_id, put_bytes);
-        if let Some(m) = &self.metrics {
-            m.puts.incr(1);
-            m.put_bytes.incr(put_bytes);
-        }
-        Ok(Response {
-            payload: None,
-            durable: true,
-        })
     }
 
     async fn do_get(&self, obj: u64, len: u64, count: u32) -> RpcResult<Response> {
@@ -1158,9 +1116,7 @@ impl DurableClient {
             durable: true,
         })
     }
-}
 
-impl DurableClient {
     /// Allocate the next per-op causal id for a batched put. Allocated
     /// once per logical op in `call_batch` *before* its retry loop, so a
     /// whole-batch retry after a mid-batch crash re-appends the same ids
@@ -1171,142 +1127,27 @@ impl DurableClient {
         BATCH_ID_BASE | ((self.client_node.id.0 as u64) << 36) | ((self.lane as u64) << 24) | n
     }
 
-    /// Batched puts (paper Fig. 19 / Section 4.3): one doorbell for the
-    /// writes, one coalesced flush (sender-initiated kinds) or one final
-    /// persist-ACK (receiver-initiated kinds). Each item carries its
-    /// caller-allocated causal id; entries are logged as [`OpCode::RPut`]
-    /// with the id prefixed so apply-time dedup survives batch retries.
-    async fn do_put_batch(&self, items: Vec<(u64, Payload, u64)>) -> RpcResult<Vec<Response>> {
-        if items.is_empty() {
+    /// Batched puts (paper Fig. 19 / Section 4.3) under the retry policy:
+    /// one doorbell for the writes, one coalesced flush (sender-initiated
+    /// kinds) or one final persist-ACK (receiver-initiated kinds). Each
+    /// item carries its caller-allocated causal id, so apply-time dedup
+    /// survives whole-batch retries.
+    async fn put_batch(&self, puts: Vec<(u64, Payload, u64)>) -> RpcResult<Vec<Response>> {
+        if puts.is_empty() {
             return Ok(Vec::new());
         }
-        let k = items.len();
-        let items: Vec<(u64, Payload)> = items
-            .into_iter()
-            .map(|(obj, data, id)| {
-                (
-                    obj,
-                    Payload::composite(vec![Payload::from_bytes(id.to_le_bytes().to_vec()), data]),
-                )
-            })
-            .collect();
-        let ack_rx = if self.kind.is_receiver_initiated() {
-            let (tx, rx) = self.ack_pool.oneshot();
-            *self.shared.ack_waiter.borrow_mut() = Some(tx);
-            self.shared
-                .ack_after
-                .set(self.shared.puts_logged.get() + k as u64);
-            Some(rx)
-        } else {
-            None
-        };
-
-        let _persist = self.client_node.tracer().span(Phase::LogPersist);
-
-        let mut rpc_ids = Vec::with_capacity(k);
-        if self.kind.is_send_based() {
-            // Sends cannot be doorbell-coalesced the same way; pipeline
-            // them and flush/ack once at the end.
-            let mut last_probe = None;
-            for (obj, data) in items {
-                let op = RpcOperator {
-                    opcode: OpCode::RPut,
-                    obj_id: obj,
-                };
-                let bytes = data.len();
-                let appended = self.writer.append_send(op, &data).await?;
-                let rid = self.writer.journal_id(appended.index);
-                self.jot_rpc(EventKind::RpcDispatch, rid, bytes);
-                self.lease_bump(obj, rid);
-                rpc_ids.push((rid, bytes));
-                last_probe = Some(appended.probe);
-            }
-            match self.kind {
-                DurableKind::SFlush => {
-                    self.writer
-                        .flush()
-                        .sflush(last_probe.expect("non-empty batch"))
-                        .await?;
-                }
-                DurableKind::SRFlush => {
-                    let wait = self.client_node.tracer().span(Phase::FlushWait);
-                    if ack_rx.expect("registered").await.is_none() {
-                        return Err(RpcError::ServerDown);
-                    }
-                    wait.end();
-                    self.client_node.cpu.poll_dispatch().await;
-                }
-                _ => unreachable!(),
-            }
-        } else {
-            let ops: Vec<(RpcOperator, Payload)> = items
+        let k = puts.len();
+        self.retry_loop(|| {
+            let items = puts
                 .iter()
-                .map(|(obj, data)| {
-                    (
-                        RpcOperator {
-                            opcode: OpCode::RPut,
-                            obj_id: *obj,
-                        },
-                        data.clone(),
-                    )
-                })
+                .map(|(obj, data, id)| LogItem::with_id(*obj, data.clone(), *id))
                 .collect();
-            let receipts = self.writer.append_write_batch(ops).await?;
-            let last_probe = receipts.last().expect("non-empty batch").probe;
-            for (a, (obj, _)) in receipts.iter().zip(items.iter()) {
-                let rid = self.writer.journal_id(a.index);
-                // The batch shares one doorbell; dispatch bytes are the
-                // entry payloads already counted by the LogAppend records.
-                self.jot_rpc(EventKind::RpcDispatch, rid, 0);
-                self.lease_bump(*obj, rid);
-                rpc_ids.push((rid, 0));
-            }
-            for (appended, (_, data)) in receipts.into_iter().zip(items) {
-                let shared = Rc::clone(&self.shared);
-                let token = appended.token;
-                let index = appended.index;
-                let h = self.get_qp.local().handle().clone();
-                h.spawn(async move {
-                    let durable = token.wait().await;
-                    let _ = shared.arrival_tx.send(Arrival {
-                        index,
-                        data,
-                        durable,
-                    });
-                });
-            }
-            match self.kind {
-                DurableKind::WFlush => {
-                    self.writer.flush().wflush(last_probe).await?;
-                }
-                DurableKind::WRFlush => {
-                    let wait = self.client_node.tracer().span(Phase::FlushWait);
-                    if ack_rx.expect("registered").await.is_none() {
-                        return Err(RpcError::ServerDown);
-                    }
-                    wait.end();
-                    self.client_node.cpu.poll_dispatch().await;
-                }
-                _ => unreachable!(),
-            }
-        }
-        for (rid, bytes) in rpc_ids {
-            self.jot_rpc(EventKind::RpcComplete, rid, bytes);
-        }
-        if let Some(m) = &self.metrics {
-            m.puts.incr(k as u64);
-        }
-        Ok(vec![
-            Response {
-                payload: None,
-                durable: true,
-            };
-            k
-        ])
+            self.persist(items)
+        })
+        .await?;
+        Ok(vec![durable_ack(); k])
     }
-}
 
-impl DurableClient {
     /// Run `attempt` under the configured [`RetryPolicy`]: each attempt
     /// gets `request_timeout` of budget; retryable failures (transport
     /// errors, server outages, timeouts) back off and re-send. Durable-RPC
@@ -1364,7 +1205,11 @@ impl DurableClient {
 
     async fn dispatch_one(&self, req: Request) -> RpcResult<Response> {
         match req {
-            Request::Put { obj, data } => self.do_put(obj, data).await,
+            Request::Put { obj, data } => {
+                self.persist(vec![LogItem::new(OpCode::Put, obj, data)])
+                    .await?;
+                Ok(durable_ack())
+            }
             Request::Get { obj, len } => self.do_get(obj, len, 1).await,
             Request::Scan { start, count, len } => self.do_get(start, len, count).await,
         }
@@ -1383,22 +1228,17 @@ impl RpcClient for DurableClient {
             // whole-batch re-send after a mid-batch crash deduplicates at
             // apply time (exactly-once per logical op).
             let mut out = Vec::with_capacity(reqs.len());
-            let mut puts: Vec<(u64, Payload, u64)> = Vec::new();
+            let mut puts = Vec::new();
             for req in reqs {
                 match req {
                     Request::Put { obj, data } => puts.push((obj, data, self.alloc_batch_id())),
                     other => {
-                        if !puts.is_empty() {
-                            let chunk = std::mem::take(&mut puts);
-                            out.extend(self.retry_loop(|| self.do_put_batch(chunk.clone())).await?);
-                        }
+                        out.extend(self.put_batch(std::mem::take(&mut puts)).await?);
                         out.push(self.call(other).await?);
                     }
                 }
             }
-            if !puts.is_empty() {
-                out.extend(self.retry_loop(|| self.do_put_batch(puts.clone())).await?);
-            }
+            out.extend(self.put_batch(puts).await?);
             Ok(out)
         })
     }
@@ -1594,6 +1434,61 @@ mod tests {
         let t_wr = time_for(DurableKind::WRFlush);
         let ratio = t_w.as_nanos() as f64 / t_wr.as_nanos() as f64;
         assert!((0.5..2.0).contains(&ratio), "w {t_w} vs wr {t_wr}");
+    }
+
+    #[test]
+    fn batched_puts_count_their_bytes() {
+        for kind in DurableKind::ALL {
+            let mut sim = Sim::new(19);
+            let (client, _server, cluster) = setup(&sim, kind, ServerProfile::light());
+            let metrics = cluster.node(1).metrics().unwrap().clone();
+            sim.block_on(async move {
+                let puts = (0..4)
+                    .map(|i| Request::Put {
+                        obj: i,
+                        data: Payload::synthetic(1000, i),
+                    })
+                    .collect();
+                client.call_batch(puts).await.unwrap();
+            });
+            let counter = |name| metrics.counter(Key::new(name).shard(0).kind(kind.name()));
+            assert_eq!(counter("puts"), 4, "{kind:?}");
+            // Each batched entry is logged with its causal id ahead of the value.
+            assert_eq!(counter("put_bytes"), 4 * (1000 + REPL_ID_BYTES), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn small_ring_clamps_head_persist_interval() {
+        // 16 slots at the default interval of 16: without the clamp the
+        // wrap guard waits for a head persist that needs more completions
+        // than the ring can hold.
+        let mut sim = Sim::new(17);
+        let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(2));
+        let cfg = DurableConfig {
+            log_slots: 16,
+            slot_payload: 4096,
+            object_slot: 4096,
+            store_capacity: 1 << 20,
+            ..Default::default()
+        };
+        assert_eq!(cfg.head_persist_interval, 16);
+        let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
+        server.start();
+        let h = sim.handle();
+        let t = sim.block_on(async move {
+            for i in 0..200 {
+                client
+                    .call(Request::Put {
+                        obj: i % 8,
+                        data: Payload::synthetic(1024, i),
+                    })
+                    .await
+                    .unwrap();
+            }
+            h.now()
+        });
+        assert!(t.as_nanos() < 5_000_000, "200 puts took {t}");
     }
 
     #[test]

@@ -627,11 +627,6 @@ impl RemoteLogWriter {
         }
     }
 
-    /// Times the flow controller slept this sender so far.
-    pub fn stall_count(&self) -> u64 {
-        self.stalls.get()
-    }
-
     /// Shared stall counter, for metrics providers.
     pub(crate) fn stall_cell(&self) -> Rc<Cell<u64>> {
         Rc::clone(&self.stalls)
@@ -690,39 +685,13 @@ impl RemoteLogWriter {
         }
     }
 
-    /// Append via one-sided RDMA write (WFlush / W-RFlush RPC families).
-    /// Returns once the sender's WC fires (data in remote SRAM); call
-    /// [`FlushOps::wflush`] on `probe` (or await a receiver ACK) for
-    /// durability.
-    pub async fn append_write(&self, op: RpcOperator, data: &Payload) -> RdmaResult<Appended> {
-        assert!(
-            data.len() <= self.layout.max_payload(),
-            "payload {} exceeds slot capacity {}",
-            data.len(),
-            self.layout.max_payload()
-        );
-        self.flow_control().await;
-        let index = self.cursor.advance_tail();
-        self.jot_append(index, data.len());
-        // Stamp the QP so the NIC-level journal records (doorbell, wire
-        // segments, ACK) of this append carry the entry's rpc id — the
-        // span analyzer stitches them into the per-RPC causal tree.
-        self.qp.tag_rpc(self.journal_id(index));
-        let image = encode_entry(index, op, data);
-        let token = self
-            .qp
-            .write(MemTarget::Pm(self.layout.slot_addr(index)), image)
-            .await?;
-        Ok(Appended {
-            index,
-            probe: MemTarget::Pm(self.layout.probe_addr(index, data.len())),
-            token,
-        })
-    }
-
-    /// Doorbell-batched appends (paper Fig. 19 / Section 4.3): `k` entries
+    /// Append via one-sided RDMA write (WFlush / W-RFlush RPC families),
+    /// doorbell-batched (paper Fig. 19 / Section 4.3): `k ≥ 1` entries
     /// posted with one doorbell, pipelined on the wire, single coalesced
-    /// RC ACK. Flush once on the last receipt's probe.
+    /// RC ACK. Returns once the sender's WC fires (data in remote SRAM);
+    /// call [`FlushOps::wflush`] on the last receipt's probe (or await a
+    /// receiver ACK) for durability. A one-entry batch costs exactly what
+    /// a plain write does.
     pub async fn append_write_batch(
         &self,
         items: Vec<(RpcOperator, Payload)>,
@@ -741,8 +710,9 @@ impl RemoteLogWriter {
             writes.push((MemTarget::Pm(self.layout.slot_addr(index)), image));
             metas.push((index, data.len()));
         }
-        // One doorbell for the whole batch: its NIC records carry the
-        // first entry's id (the batch is a single causal unit).
+        // One doorbell for the whole batch: its NIC records (doorbell,
+        // wire segments, ACK) carry the first entry's id, so the span
+        // analyzer stitches them into that RPC's causal tree.
         if let Some((first, _)) = metas.first() {
             self.qp.tag_rpc(self.journal_id(*first));
         }
@@ -809,6 +779,12 @@ mod tests {
         (writer, log, cluster)
     }
 
+    /// Append one entry by one-sided write.
+    async fn append(writer: &RemoteLogWriter, op: RpcOperator, data: Payload) -> Appended {
+        let mut receipts = writer.append_write_batch(vec![(op, data)]).await.unwrap();
+        receipts.pop().unwrap()
+    }
+
     fn put(obj: u64) -> RpcOperator {
         RpcOperator {
             opcode: OpCode::Put,
@@ -822,7 +798,7 @@ mod tests {
         let (writer, log, _c) = fixture(&sim);
         sim.block_on(async move {
             let data = Payload::from_bytes(b"hello log".to_vec());
-            let a = writer.append_write(put(7), &data).await.unwrap();
+            let a = append(&writer, put(7), data).await;
             writer.flush().wflush(a.probe).await.unwrap();
             let e = log.read_entry(a.index).expect("entry valid");
             assert_eq!(e.op, put(7));
@@ -837,10 +813,7 @@ mod tests {
         let (writer, log, cluster) = fixture(&sim);
         let node = cluster.node(0).clone();
         sim.block_on(async move {
-            let a = writer
-                .append_write(put(1), &Payload::from_bytes(vec![0xCD; 100]))
-                .await
-                .unwrap();
+            let a = append(&writer, put(1), Payload::from_bytes(vec![0xCD; 100])).await;
             writer.flush().wflush(a.probe).await.unwrap();
             // Power failure after the flush ACK.
             node.crash();
@@ -860,10 +833,7 @@ mod tests {
         sim.block_on(async move {
             // Crash immediately after the WC, before any flush: the entry
             // may be in RNIC SRAM only.
-            let a = writer
-                .append_write(put(2), &Payload::from_bytes(vec![1; 64]))
-                .await
-                .unwrap();
+            let a = append(&writer, put(2), Payload::from_bytes(vec![1; 64])).await;
             drop(a);
             node.crash();
             node.restart();
@@ -886,10 +856,7 @@ mod tests {
         sim.block_on(async move {
             let mut receipts = Vec::new();
             for i in 0..3u64 {
-                let a = writer
-                    .append_write(put(i), &Payload::from_bytes(vec![i as u8; 32]))
-                    .await
-                    .unwrap();
+                let a = append(&writer, put(i), Payload::from_bytes(vec![i as u8; 32])).await;
                 writer.flush().wflush(a.probe).await.unwrap();
                 receipts.push(a);
             }
@@ -910,10 +877,7 @@ mod tests {
         let (writer, log, _c) = fixture(&sim);
         sim.block_on(async move {
             for i in 0..3u64 {
-                let a = writer
-                    .append_write(put(i), &Payload::from_bytes(vec![0; 8]))
-                    .await
-                    .unwrap();
+                let a = append(&writer, put(i), Payload::from_bytes(vec![0; 8])).await;
                 writer.flush().wflush(a.probe).await.unwrap();
             }
             // Complete 1 then 2; head must stay at 0 until 0 completes.
@@ -935,10 +899,7 @@ mod tests {
         sim.block_on(async move {
             assert_eq!(log.layout().slots, 8);
             for i in 0..11u64 {
-                let a = writer
-                    .append_write(put(i), &Payload::from_bytes(vec![i as u8; 16]))
-                    .await
-                    .unwrap();
+                let a = append(&writer, put(i), Payload::from_bytes(vec![i as u8; 16])).await;
                 writer.flush().wflush(a.probe).await.unwrap();
                 if i < 8 {
                     log.mark_done(i).await.unwrap();
@@ -987,10 +948,7 @@ mod tests {
         let h = sim.handle();
         let t = sim.block_on(async move {
             for _ in 0..5 {
-                let a = writer
-                    .append_write(put(0), &Payload::synthetic(64, 0))
-                    .await
-                    .unwrap();
+                let a = append(&writer, put(0), Payload::synthetic(64, 0)).await;
                 writer.flush().wflush(a.probe).await.unwrap();
             }
             h.now()

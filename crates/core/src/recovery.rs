@@ -40,18 +40,3 @@ pub struct RecoveryStats {
     /// record in the logs — i.e. without any client retransmit.
     pub in_doubt_resolved: u64,
 }
-
-impl RecoveryStats {
-    /// Record one crash with its restart latency.
-    pub fn record_crash(&mut self, restart: SimDuration) {
-        self.crashes += 1;
-        self.downtime += restart;
-    }
-
-    /// Record a replay that found `in_doubt` staged transactions and
-    /// resolved `resolved` of them from the logs alone.
-    pub fn record_in_doubt(&mut self, in_doubt: u64, resolved: u64) {
-        self.in_doubt_txns += in_doubt;
-        self.in_doubt_resolved += resolved;
-    }
-}

@@ -40,7 +40,7 @@ use prdma_simnet::rng::SmallRng;
 use prdma_simnet::SimHandle;
 
 use crate::durable::{build_durable, DurableClient, DurableConfig, DurableKind, DurableServer};
-use crate::log::{OpCode, REPL_ID_BYTES};
+use crate::log::REPL_ID_BYTES;
 use crate::rpc::{Request, Response, RetryPolicy, RpcClient, RpcError, RpcFuture, RpcResult};
 
 /// High bit namespace for causal replication put ids, so they can never
@@ -386,11 +386,6 @@ impl ReplicaGroup {
 }
 
 impl ReplicatedClient {
-    /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// This client's promotion-state view.
     pub fn view(&self) -> GroupView {
         GroupView {
@@ -442,47 +437,6 @@ impl ReplicatedClient {
         let id = self.state.alloc_put_id();
         let targets: Vec<usize> = (0..self.replicas.len()).collect();
         self.fan_out_round(obj, &data, id, &targets).await
-    }
-
-    /// Fan a transaction record (prepare / decided / commit / abort) out
-    /// to every replica's redo log, exactly as replicated puts fan out:
-    /// spawned concurrently, **all joined**, each leg retried under its
-    /// connection's policy. `Ok` once at least one replica has durably
-    /// appended the record (a failed replica is marked down, promoting
-    /// if it was the primary, and catches up from its log at rejoin);
-    /// `Err` only when no replica accepted it.
-    pub async fn append_record_all(
-        &self,
-        opcode: OpCode,
-        obj_id: u64,
-        data: Payload,
-    ) -> RpcResult<()> {
-        let mut joins = Vec::with_capacity(self.replicas.len());
-        for (slot, r) in self.replicas.iter().enumerate() {
-            let r = Rc::clone(r);
-            let data = data.clone();
-            joins.push((
-                slot,
-                self.handle
-                    .spawn(async move { r.append_record_retried(opcode, obj_id, data).await }),
-            ));
-        }
-        let mut appended = 0usize;
-        let mut last_err = RpcError::TimedOut;
-        for (slot, j) in joins {
-            match j.await {
-                Ok(_) => appended += 1,
-                Err(e) => {
-                    self.state.mark_down(slot);
-                    last_err = e;
-                }
-            }
-        }
-        if appended > 0 {
-            Ok(())
-        } else {
-            Err(last_err)
-        }
     }
 
     async fn put_all(&self, obj: u64, data: Payload) -> RpcResult<Response> {
@@ -615,38 +569,6 @@ mod tests {
             store_capacity: 1 << 20,
             head_persist_interval: 1,
             ..Default::default()
-        }
-    }
-
-    #[test]
-    fn txn_records_fan_out_to_every_replica_log() {
-        let mut sim = Sim::new(79);
-        let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(4));
-        let (client, group) = build_replicated(&cluster, 3, &[0, 1, 2], cfg());
-        let logs: Vec<_> = group.servers.iter().map(|s| s.log().clone()).collect();
-        sim.block_on(async move {
-            client
-                .append_record_all(
-                    OpCode::TxnDecide,
-                    crate::txn::TXN_ID_BASE | 7,
-                    Payload::from_bytes(vec![1, 0, 0, 0, 0, 0, 0, 0]),
-                )
-                .await
-                .unwrap();
-        });
-        sim.run();
-        for (i, log) in logs.iter().enumerate() {
-            let decides: Vec<_> = log
-                .scan_ring()
-                .into_iter()
-                .filter(|e| e.op.opcode == OpCode::TxnDecide)
-                .collect();
-            assert_eq!(decides.len(), 1, "replica {i}");
-            assert_eq!(
-                decides[0].op.obj_id,
-                crate::txn::TXN_ID_BASE | 7,
-                "replica {i}"
-            );
         }
     }
 

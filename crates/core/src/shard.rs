@@ -385,14 +385,6 @@ impl ShardedDurable {
             .map(|s| s.recover_and_requeue().len())
             .sum()
     }
-
-    /// Service-restart recovery for shard `shard` (cursors intact).
-    pub fn recover_shard_service(&self, shard: usize) -> usize {
-        self.servers[shard]
-            .iter()
-            .map(|s| s.recover_service_and_requeue())
-            .sum()
-    }
 }
 
 /// Build a sharded durable KV service: shards live on server nodes

@@ -643,9 +643,7 @@ impl TxnClient {
         data: Payload,
     ) -> RpcResult<u64> {
         let _permit = self.append_sems[shard].acquire().await;
-        self.shards[shard]
-            .append_record_retried(opcode, txn, data)
-            .await
+        self.shards[shard].append_record(opcode, txn, data).await
     }
 
     /// Fire-and-forget a resolution record (commit-apply or abort) to
@@ -657,7 +655,7 @@ impl TxnClient {
         let sem = Rc::clone(&self.append_sems[shard]);
         self.handle.spawn(async move {
             let _permit = sem.acquire().await;
-            let _ = client.append_record_retried(opcode, txn, data).await;
+            let _ = client.append_record(opcode, txn, data).await;
         });
     }
 
@@ -728,9 +726,7 @@ impl TxnClient {
                 payload.len(),
                 self.handle.spawn(async move {
                     let _permit = sem.acquire().await;
-                    client
-                        .append_record_retried(OpCode::TxnPrepare, id, payload)
-                        .await
+                    client.append_record(OpCode::TxnPrepare, id, payload).await
                 }),
             ));
         }

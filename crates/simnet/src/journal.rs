@@ -1076,14 +1076,6 @@ pub mod json {
             }
         }
 
-        /// The numeric payload, if this is a number.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
         /// The elements, if this is an array.
         pub fn as_arr(&self) -> Option<&[Value]> {
             match self {

@@ -79,11 +79,6 @@ impl FifoResource {
         self.capacity
     }
 
-    /// Requests currently waiting for a server.
-    pub fn queue_len(&self) -> usize {
-        self.sem.waiters()
-    }
-
     /// Total service time accumulated across all servers.
     pub fn busy_time(&self) -> SimDuration {
         SimDuration::from_nanos(self.busy.get())
@@ -138,11 +133,6 @@ impl SharedLink {
         }
         // Pipe released; propagation overlaps with the next sender.
         self.handle.sleep(self.propagation).await;
-    }
-
-    /// Serialization time for `bytes` on this link, without queueing.
-    pub fn serialization_time(&self, bytes: u64) -> SimDuration {
-        transfer_time(bytes, self.gbps).mul_f64(self.slowdown.get())
     }
 
     /// Set the serialization slowdown factor (>= 1 slows the link; 1
