@@ -538,3 +538,128 @@ fn pinned_persist_path_fingerprints() {
         }
     }
 }
+
+/// Per-phase tracer totals of one untraced run: `(phase, on-path ns,
+/// off-path ns, span count)`.
+type PhasePin = (&'static str, u64, u64, u64);
+
+/// What [`pinned_trace_totals`] pins for one system: events processed,
+/// the seven phases' totals, and the cluster's recv-WQE-fetch and
+/// CQE-write counts.
+type TracePin = (u64, [PhasePin; 7], (u64, u64));
+
+/// The [`pinned_whole_stack_fingerprints`] run with the journal off,
+/// read back through the tracer instead of the journal.
+fn trace_totals_run(kind: SystemKind) -> TracePin {
+    use prdma_suite::simnet::trace::{counters, Phase};
+    let seed = 20211114;
+    let mut sim = Sim::new(seed);
+    let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(2));
+    let opts = SystemOpts::for_object_size(1024, ServerProfile::light());
+    let client = build_system(&cluster, kind, 1, 0, 0, &opts);
+    let cfg = MicroConfig {
+        objects: 500,
+        ops: 300,
+        object_size: 1024,
+        seed,
+        ..Default::default()
+    };
+    let h = sim.handle();
+    sim.block_on(async move { run_micro(client.as_ref(), &h, &cfg).await });
+    let report = cluster.trace_report();
+    let phases = Phase::ALL.map(|p| {
+        (
+            p.name(),
+            report.total(p).as_nanos(),
+            report.offpath_total(p).as_nanos(),
+            report.summary(p).count,
+        )
+    });
+    let nic_counts = (
+        report.counter(counters::RECV_WQE_FETCHES),
+        report.counter(counters::CQE_DMA_WRITES),
+    );
+    (sim.events_processed(), phases, nic_counts)
+}
+
+/// Pinned tracer output: the latency-breakdown totals behind Fig. 20
+/// (on- and off-path nanoseconds and span counts for all seven phases)
+/// plus the two per-NIC counts the breakdown tests read, for the four
+/// systems of [`pinned_whole_stack_fingerprints`] with the journal off.
+/// Any change to where or when a span opens or closes trips this test.
+#[test]
+fn pinned_trace_totals() {
+    let pinned: [(SystemKind, TracePin); 4] = [
+        (
+            SystemKind::WFlush,
+            (
+                8866,
+                [
+                    ("sender_sw", 46110, 0, 600),
+                    ("wire", 945045, 0, 3000),
+                    ("nic_dma", 287013, 0, 600),
+                    ("pm_media", 119065, 112335, 463),
+                    ("receiver_sw", 23290, 65200, 274),
+                    ("log_persist", 679221, 49580, 163),
+                    ("flush_wait", 393971, 0, 163),
+                ],
+                (0, 0),
+            ),
+        ),
+        (
+            SystemKind::SRFlush,
+            (
+                9630,
+                [
+                    ("sender_sw", 75000, 0, 600),
+                    ("wire", 943578, 0, 3000),
+                    ("nic_dma", 545126, 0, 1200),
+                    ("pm_media", 91355, 112335, 300),
+                    ("receiver_sw", 51000, 48900, 600),
+                    ("log_persist", 777510, 49580, 163),
+                    ("flush_wait", 462920, 0, 163),
+                ],
+                (300, 300),
+            ),
+        ),
+        (
+            SystemKind::Farm,
+            (
+                7064,
+                [
+                    ("sender_sw", 51000, 0, 600),
+                    ("wire", 945026, 0, 3000),
+                    ("nic_dma", 230563, 0, 600),
+                    ("pm_media", 90703, 0, 300),
+                    ("receiver_sw", 67626, 0, 763),
+                    ("log_persist", 0, 0, 0),
+                    ("flush_wait", 0, 0, 0),
+                ],
+                (0, 0),
+            ),
+        ),
+        (
+            SystemKind::Darpc,
+            (
+                9164,
+                [
+                    ("sender_sw", 512689, 0, 900),
+                    ("wire", 945026, 0, 3000),
+                    ("nic_dma", 860563, 0, 1800),
+                    ("pm_media", 90703, 0, 300),
+                    ("receiver_sw", 511626, 0, 763),
+                    ("log_persist", 0, 0, 0),
+                    ("flush_wait", 0, 0, 0),
+                ],
+                (600, 600),
+            ),
+        ),
+    ];
+    for (kind, want) in pinned {
+        assert_eq!(
+            trace_totals_run(kind),
+            want,
+            "{kind:?}: tracer totals drifted (events, per-phase totals, nic counts)"
+        );
+    }
+}
