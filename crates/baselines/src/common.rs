@@ -195,32 +195,8 @@ pub async fn reply_by_send(
     Ok(true)
 }
 
-/// Journal the start of one baseline RPC on the client node: allocates an
-/// rpc id and emits `RpcDispatch`. Returns [`NO_ID`] (and records nothing)
-/// when journaling is disabled.
-pub fn rpc_begin(client_node: &Node, bytes: u64) -> u64 {
-    match client_node.journal() {
-        Some(j) => {
-            let id = j.next_rpc_id();
-            j.record(Subsystem::Rpc, EventKind::RpcDispatch, id, NO_ID, bytes);
-            id
-        }
-        None => NO_ID,
-    }
-}
-
-/// Journal the completion of a baseline RPC begun with [`rpc_begin`].
-pub fn rpc_end(client_node: &Node, rpc_id: u64, bytes: u64) {
-    if rpc_id == NO_ID {
-        return;
-    }
-    if let Some(j) = client_node.journal() {
-        j.record(Subsystem::Rpc, EventKind::RpcComplete, rpc_id, NO_ID, bytes);
-    }
-}
-
-/// Run one baseline roundtrip bracketed by [`rpc_begin`]/[`rpc_end`]
-/// records (a no-op when journaling is disabled).
+/// Run one baseline roundtrip bracketed by `RpcDispatch`/`RpcComplete`
+/// records under a fresh rpc id (a no-op when journaling is disabled).
 pub async fn journaled_call<F>(
     client_node: &Node,
     req_bytes: u64,
@@ -229,14 +205,13 @@ pub async fn journaled_call<F>(
 where
     F: std::future::Future<Output = RpcResult<Response>>,
 {
-    let id = rpc_begin(client_node, req_bytes);
+    let obs = client_node.obs();
+    let id = obs.next_rpc_id();
+    obs.event(Subsystem::Rpc, EventKind::RpcDispatch, id, NO_ID, req_bytes);
     let r = roundtrip.await;
     if let Ok(resp) = &r {
-        rpc_end(
-            client_node,
-            id,
-            resp.payload.as_ref().map_or(0, Payload::len),
-        );
+        let bytes = resp.payload.as_ref().map_or(0, Payload::len);
+        obs.event(Subsystem::Rpc, EventKind::RpcComplete, id, NO_ID, bytes);
     }
     r
 }

@@ -5,6 +5,7 @@
 use prdma::{FlushImpl, ServerProfile, ShardMap};
 use prdma_baselines::{build_sharded_system, build_system, SystemKind, SystemOpts};
 use prdma_node::{Cluster, ClusterConfig};
+use prdma_rnic::Rnic;
 use prdma_simnet::journal;
 use prdma_simnet::trace::TraceReport;
 use prdma_simnet::{Sim, SimDuration, SimTime};
@@ -272,6 +273,10 @@ pub struct EnvResult {
     pub server_media_us_per_op: f64,
     /// Cluster-wide per-phase latency breakdown (Fig. 20's raw data).
     pub trace: TraceReport,
+    /// Recv WQEs fetched over PCIe, summed over every NIC.
+    pub recv_wqe_fetches: u64,
+    /// CQEs DMA'd to host memory, summed over every NIC.
+    pub cqe_dma_writes: u64,
     /// Completed ops (for per-op normalization of trace totals).
     pub ops: u64,
 }
@@ -281,6 +286,13 @@ impl EnvResult {
     pub fn phase_us_per_op(&self, phase: prdma_simnet::trace::Phase) -> f64 {
         self.trace.total(phase).as_micros_f64() / self.ops.max(1) as f64
     }
+}
+
+/// A per-NIC count summed over every node of `cluster`.
+fn nic_sum(cluster: &Cluster, count: fn(&Rnic) -> u64) -> u64 {
+    (0..cluster.len())
+        .map(|i| count(cluster.node(i).rnic()))
+        .sum()
 }
 
 /// Run the micro-benchmark for `kind` under `env`.
@@ -305,6 +317,8 @@ pub fn micro_run(kind: SystemKind, env: &ExpEnv, cfg: MicroConfig) -> EnvResult 
         server_cpu_us_per_op: (server_cpu.busy_time() - cpu0_s).as_micros_f64() / ops,
         server_media_us_per_op: (server_pm.media_busy_time() - media_s).as_micros_f64() / ops,
         trace: cluster.trace_report(),
+        recv_wqe_fetches: nic_sum(&cluster, Rnic::recv_wqe_fetches),
+        cqe_dma_writes: nic_sum(&cluster, Rnic::cqe_dma_writes),
         ops: run.ops,
         run,
     }
@@ -397,6 +411,8 @@ pub fn ycsb_run(kind: SystemKind, env: &ExpEnv, cfg: YcsbConfig) -> EnvResult {
         server_cpu_us_per_op: server_cpu.busy_time().as_micros_f64() / ops,
         server_media_us_per_op: server_pm.media_busy_time().as_micros_f64() / ops,
         trace: cluster.trace_report(),
+        recv_wqe_fetches: nic_sum(&cluster, Rnic::recv_wqe_fetches),
+        cqe_dma_writes: nic_sum(&cluster, Rnic::cqe_dma_writes),
         ops: run.ops,
         run,
     }

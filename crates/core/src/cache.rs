@@ -13,13 +13,13 @@
 //!    epoch can never return bytes newer than the last flush-ACKed put —
 //!    auditor invariant I5 checks exactly this ordering in the journal.
 //! 2. **A one-sided mirror fast path**. Keys that stay hot and stable are
-//!    published into a server DRAM [`MirrorRegion`](crate::store::MirrorRegion)
+//!    published into a server DRAM [`MirrorRegion`]
 //!    (an 8-byte epoch header plus the object bytes); the client then
 //!    serves GETs with a single RDMA READ (`Qp::read_mirror`) and
 //!    validates the header against its lease — no server CPU at all.
 //!
 //! A per-key hotness/stability tracker promotes keys durable-RPC GET →
-//! cached → one-sided READ ([`Tier`]) and demotes them back on
+//! cached → one-sided READ (the private `Tier`) and demotes them back on
 //! invalidation churn. Writes and cold keys always take the durable RPC
 //! path unchanged.
 //!
@@ -34,8 +34,9 @@ use std::rc::Rc;
 
 use prdma_node::Node;
 use prdma_rnic::{MemTarget, Payload, Qp};
-use prdma_simnet::journal::{EventKind, Journal, Subsystem};
+use prdma_simnet::journal::{EventKind, Subsystem};
 use prdma_simnet::metrics::{Counter, Key};
+use prdma_simnet::Obs;
 
 use crate::replication::GroupView;
 use crate::rpc::{Request, Response, RpcBatchFuture, RpcClient, RpcFuture, RpcResult};
@@ -154,7 +155,7 @@ impl LeaseState {
     /// header. Called on the durable put path *before* the flush wait, so
     /// the journaled invalidation always precedes the put's ACK
     /// (invariant I5a). Returns the new epoch.
-    pub fn bump(&self, obj: u64, rpc_id: u64, journal: Option<&Journal>) -> u64 {
+    pub fn bump(&self, obj: u64, rpc_id: u64, obs: &Obs) -> u64 {
         let mut epochs = self.inner.epochs.borrow_mut();
         let e = epochs.entry(obj).or_insert(0);
         *e += 1;
@@ -163,29 +164,16 @@ impl LeaseState {
         if let Some(m) = &self.inner.mirror {
             m.refresh(obj, new);
         }
-        if let Some(j) = journal {
-            j.record(
-                Subsystem::Rpc,
-                EventKind::LeaseInvalidate,
-                rpc_id,
-                self.key_id(obj),
-                new,
-            );
-        }
+        let key = self.key_id(obj);
+        obs.event(Subsystem::Rpc, EventKind::LeaseInvalidate, rpc_id, key, new);
         new
     }
 
-    /// Journal a lease grant of `epoch` on `obj` (client cache fill).
-    pub fn jot_grant(&self, obj: u64, epoch: u64, journal: Option<&Journal>) {
-        if let Some(j) = journal {
-            j.record(
-                Subsystem::Rpc,
-                EventKind::LeaseGrant,
-                j.next_rpc_id(),
-                self.key_id(obj),
-                epoch,
-            );
-        }
+    /// Journal lease event `kind` on `obj` at `epoch` under a fresh rpc
+    /// id: a grant (client cache fill) or a read served under the lease.
+    pub(crate) fn note(&self, obs: &Obs, kind: EventKind, obj: u64, epoch: u64) {
+        let key = self.key_id(obj);
+        obs.event(Subsystem::Rpc, kind, obs.next_rpc_id(), key, epoch);
     }
 
     /// The shard's mirror region, when the one-sided tier is enabled.
@@ -248,7 +236,7 @@ struct CacheMetrics {
 /// An [`RpcClient`] decorator adding the lease cache and the adaptive
 /// one-sided fast path in front of any durable client (a per-shard
 /// `DurableClient` or a `ReplicatedClient`). Writes, scans, and cold keys
-/// pass straight through; hot keys climb the [`Tier`] ladder.
+/// pass straight through; hot keys climb the tier ladder.
 pub struct CachedClient {
     inner: Box<dyn RpcClient>,
     lease: LeaseState,
@@ -332,18 +320,6 @@ impl CachedClient {
         }
     }
 
-    fn jot(&self, kind: EventKind, obj: u64, epoch: u64) {
-        if let Some(j) = self.node.journal() {
-            j.record(
-                Subsystem::Rpc,
-                kind,
-                j.next_rpc_id(),
-                self.lease.key_id(obj),
-                epoch,
-            );
-        }
-    }
-
     fn touch(&self, obj: u64) {
         let t = self.tick.get() + 1;
         self.tick.set(t);
@@ -408,10 +384,11 @@ impl CachedClient {
             return Ok(None);
         };
         // The journaled claim is "a one-sided read was issued under a
-        // valid lease of `epoch`" — jotted at issue time, when the shared
+        // valid lease of `epoch`" — journaled at issue time, when the shared
         // lease table was just checked, so a put bumping the epoch while
         // the READ is in flight is concurrent, not a protocol violation.
-        self.jot(EventKind::MirrorRead, obj, epoch);
+        self.lease
+            .note(self.node.obs(), EventKind::MirrorRead, obj, epoch);
         let bytes = qp
             .read_mirror(MemTarget::Dram(addr), MIRROR_HEADER_BYTES + len)
             .await?;
@@ -452,7 +429,8 @@ impl CachedClient {
             let current = self.lease.epoch(obj);
             if let Some((entry_epoch, entry_len)) = cached {
                 if entry_epoch == current && len <= entry_len {
-                    self.jot(EventKind::CacheRead, obj, current);
+                    self.lease
+                        .note(self.node.obs(), EventKind::CacheRead, obj, current);
                     self.node.cpu.poll_dispatch().await;
                     self.touch(obj);
                     if let Some(m) = &self.metrics {
@@ -501,7 +479,8 @@ impl CachedClient {
         let resp = self.inner.call(Request::Get { obj, len }).await?;
         if hits >= self.cfg.hot_threshold && self.lease.epoch(obj) == before {
             self.fill(obj, before, len);
-            self.lease.jot_grant(obj, before, self.node.journal());
+            self.lease
+                .note(self.node.obs(), EventKind::LeaseGrant, obj, before);
             let mut keys = self.keys.borrow_mut();
             let ks = keys.entry(obj).or_default();
             if ks.tier == Tier::Rpc {
@@ -575,13 +554,20 @@ mod tests {
     use super::*;
     use prdma_pmem::VolatileMemory;
     use prdma_simnet::journal::NO_ID;
+    use prdma_simnet::trace::Tracer;
+    use prdma_simnet::Sim;
+
+    fn no_journal() -> Obs {
+        Obs::new(Tracer::new(Sim::new(1).handle()), None, None)
+    }
 
     #[test]
     fn lease_epochs_start_at_zero_and_bump() {
+        let obs = no_journal();
         let lease = LeaseState::new(3);
         assert_eq!(lease.epoch(7), 0);
-        assert_eq!(lease.bump(7, NO_ID, None), 1);
-        assert_eq!(lease.bump(7, NO_ID, None), 2);
+        assert_eq!(lease.bump(7, NO_ID, &obs), 1);
+        assert_eq!(lease.bump(7, NO_ID, &obs), 2);
         assert_eq!(lease.epoch(7), 2);
         assert_eq!(lease.epoch(8), 0);
         assert_eq!(lease.key_id(7), (3 << KEY_OBJ_BITS) | 7);
@@ -592,9 +578,10 @@ mod tests {
         let dram = VolatileMemory::new(1 << 16);
         let mirror = MirrorRegion::new(dram.clone(), 0, 72, 4);
         let lease = LeaseState::with_mirror(0, mirror);
+        let obs = no_journal();
         let addr = lease.mirror().unwrap().publish(5, 0).unwrap();
         assert_eq!(MirrorRegion::decode_epoch(&dram.read(addr, 8)), Some(0));
-        lease.bump(5, NO_ID, None);
+        lease.bump(5, NO_ID, &obs);
         assert_eq!(MirrorRegion::decode_epoch(&dram.read(addr, 8)), Some(1));
     }
 }

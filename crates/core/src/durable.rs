@@ -479,11 +479,6 @@ impl DurableServer {
         &self.core.store
     }
 
-    /// The server node.
-    pub fn node(&self) -> &Node {
-        &self.core.node
-    }
-
     /// Puts processed (applied + marked done) so far.
     pub fn puts_processed(&self) -> u64 {
         self.core.shared.puts_processed.get()
@@ -903,15 +898,6 @@ impl DurableClient {
         self.kind
     }
 
-    /// Journal an RPC lifecycle event on the client node. Puts reuse the
-    /// log-append id (`lane << 40 | index`) so the auditor can order the
-    /// completion against its redo-log append; reads allocate fresh ids.
-    fn jot_rpc(&self, kind: EventKind, rpc_id: u64, bytes: u64) {
-        if let Some(j) = self.client_node.journal() {
-            j.record(Subsystem::Rpc, kind, rpc_id, NO_ID, bytes);
-        }
-    }
-
     /// The persist step behind every logging entry point: put, tagged put,
     /// record append and batched puts. Appends `items` (n ≥ 1) to the
     /// server's redo log and returns once all of them are durable, with
@@ -982,7 +968,9 @@ impl DurableClient {
 
         let (mut puts, mut put_bytes, mut rpc_id) = (0, 0, NO_ID);
         for (id, bytes, is_put) in logged {
-            self.jot_rpc(EventKind::RpcComplete, id, bytes);
+            self.client_node
+                .obs()
+                .event(Subsystem::Rpc, EventKind::RpcComplete, id, NO_ID, bytes);
             if is_put {
                 puts += 1;
                 put_bytes += bytes;
@@ -1004,15 +992,16 @@ impl DurableClient {
     /// cached read can outlive the data it covers. Returns
     /// `(rpc_id, bytes, is_put)`.
     fn on_logged(&self, item: &LogItem, index: u64) -> (u64, u64, bool) {
+        let obs = self.client_node.obs();
         let rpc_id = self.writer.journal_id(index);
         let bytes = item.data.len();
-        self.jot_rpc(EventKind::RpcDispatch, rpc_id, bytes);
-        if let (Some(root), Some(j)) = (item.link, self.client_node.journal()) {
-            j.record(Subsystem::Rpc, EventKind::ReplLink, root, rpc_id, bytes);
+        obs.event(Subsystem::Rpc, EventKind::RpcDispatch, rpc_id, NO_ID, bytes);
+        if let Some(root) = item.link {
+            obs.event(Subsystem::Rpc, EventKind::ReplLink, root, rpc_id, bytes);
         }
         let is_put = item.is_put();
         if let (true, Some(lease)) = (is_put, &self.lease) {
-            lease.bump(item.op.obj_id, rpc_id, self.client_node.journal());
+            lease.bump(item.op.obj_id, rpc_id, obs);
         }
         (rpc_id, bytes, is_put)
     }
@@ -1066,11 +1055,15 @@ impl DurableClient {
     }
 
     async fn do_get(&self, obj: u64, len: u64, count: u32) -> RpcResult<Response> {
-        let rpc_id = self
-            .client_node
-            .journal()
-            .map_or(NO_ID, |j| j.next_rpc_id());
-        self.jot_rpc(EventKind::RpcDispatch, rpc_id, GET_DESC_BYTES);
+        let obs = self.client_node.obs();
+        let rpc_id = obs.next_rpc_id();
+        obs.event(
+            Subsystem::Rpc,
+            EventKind::RpcDispatch,
+            rpc_id,
+            NO_ID,
+            GET_DESC_BYTES,
+        );
         let (tx, rx) = self.reply_pool.oneshot();
         if self.kind.is_send_based() {
             self.get_qp
@@ -1107,7 +1100,8 @@ impl DurableClient {
         }
         let payload = rx.await.ok_or(RpcError::ServerDown)?;
         self.client_node.cpu.poll_dispatch().await;
-        self.jot_rpc(EventKind::RpcComplete, rpc_id, payload.len());
+        let bytes = payload.len();
+        obs.event(Subsystem::Rpc, EventKind::RpcComplete, rpc_id, NO_ID, bytes);
         if let Some(m) = &self.metrics {
             m.gets.incr(1);
         }

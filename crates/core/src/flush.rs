@@ -17,9 +17,11 @@
 //! | `WFlush` | RDMA read of the last byte — PCIe ordering drains the posted DMA | RNIC flush command: drain + ACK, no PCIe read |
 //! | `SFlush` | 7 µs address-lookup stall, then the read | drain + ACK after on-NIC address resolution |
 
+use std::future::Future;
+
 use prdma_rnic::{MemTarget, Qp, RdmaResult};
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
-use prdma_simnet::trace::{Phase, Span};
+use prdma_simnet::trace::Phase;
 use prdma_simnet::SimDuration;
 
 /// How the Flush primitives are realized (see module docs).
@@ -48,81 +50,71 @@ impl FlushOps {
         FlushOps { qp, imp }
     }
 
-    /// The implementation in use.
-    pub fn implementation(&self) -> FlushImpl {
-        self.imp
-    }
-
-    /// Composite span covering a whole flush round trip (its wire/DMA/media
-    /// constituents are also recorded under their exclusive phases).
-    fn flush_span(&self) -> Option<Span> {
-        self.qp.local().tracer().map(|t| t.span(Phase::FlushWait))
-    }
-
-    /// Address-resolution work done by the remote RNIC, attributed to its
-    /// node's NIC phase.
-    fn remote_nic_span(&self) -> Option<Span> {
-        self.qp.remote().tracer().map(|t| t.span(Phase::NicDma))
-    }
-
-    /// Journal the client-side view of a flush round trip. The barrier
-    /// itself (with its covered-ticket check) is recorded by the remote
-    /// NIC's posted-write drain; these records are informational, so they
-    /// carry no barrier ticket.
-    fn jot(&self, kind: EventKind) {
-        if let Some(j) = self.qp.local().journal() {
-            j.record(Subsystem::Flush, kind, NO_ID, NO_ID, 0);
+    /// Run one flush round trip under a composite [`Phase::FlushWait`]
+    /// span (its wire/DMA/media constituents are also recorded under their
+    /// exclusive phases), journaling the client-side view: `FlushIssue` at
+    /// the start, `FlushAck` on success. The barrier itself (with its
+    /// covered-ticket check) is journaled by the remote NIC's posted-write
+    /// drain; these records are informational, so they carry no ticket.
+    async fn journaled(&self, flush: impl Future<Output = RdmaResult<()>>) -> RdmaResult<()> {
+        let obs = self.qp.local().obs();
+        let _span = obs.span_event(
+            Phase::FlushWait,
+            Subsystem::Flush,
+            EventKind::FlushIssue,
+            NO_ID,
+            NO_ID,
+            0,
+        );
+        let r = flush.await;
+        if r.is_ok() {
+            obs.event(Subsystem::Flush, EventKind::FlushAck, NO_ID, NO_ID, 0);
         }
+        r
     }
 
     /// `WFlush`: guarantee that all writes previously posted on this QP
     /// (up to and including the one ending at `probe`) are durable in the
     /// remote persistence domain. Resolves at the flush ACK.
     pub async fn wflush(&self, probe: MemTarget) -> RdmaResult<()> {
-        let _span = self.flush_span();
-        self.jot(EventKind::FlushIssue);
-        let r = match self.imp {
-            FlushImpl::Emulated => {
-                // Read the last byte of the written data: PCIe ordering
-                // forces the remote RNIC to drain posted DMA writes first.
-                self.qp.read_synthetic(probe, 1).await
+        self.journaled(async {
+            match self.imp {
+                FlushImpl::Emulated => {
+                    // Read the last byte of the written data: PCIe ordering
+                    // forces the remote RNIC to drain posted DMA writes first.
+                    self.qp.read_synthetic(probe, 1).await
+                }
+                FlushImpl::HardwareNative => self.native_flush(SimDuration::ZERO).await,
             }
-            FlushImpl::HardwareNative => self.native_flush(SimDuration::ZERO).await,
-        };
-        if r.is_ok() {
-            self.jot(EventKind::FlushAck);
-        }
-        r
+        })
+        .await
     }
 
     /// `SFlush`: like `WFlush`, but accompanies an RDMA send — the remote
     /// RNIC must first resolve the destination address from the packet.
     pub async fn sflush(&self, probe: MemTarget) -> RdmaResult<()> {
-        let _span = self.flush_span();
-        self.jot(EventKind::FlushIssue);
         let addressing = self.qp.local().config().sflush_addressing;
-        let r = match self.imp {
-            FlushImpl::Emulated => {
-                // The paper waits `sleep(0)` (~7 us, conservative) for the
-                // address lookup, then forces the flush with a read. The
-                // lookup is remote-RNIC work, so it counts as NIC time in
-                // the breakdown.
-                {
-                    let _nic = self.remote_nic_span();
-                    self.qp.local().handle().sleep(addressing).await;
+        self.journaled(async {
+            match self.imp {
+                FlushImpl::Emulated => {
+                    // The paper waits `sleep(0)` (~7 us, conservative) for the
+                    // address lookup, then forces the flush with a read. The
+                    // lookup is remote-RNIC work, so it counts as NIC time in
+                    // the breakdown.
+                    {
+                        let _nic = self.qp.remote().obs().span(Phase::NicDma);
+                        self.qp.local().handle().sleep(addressing).await;
+                    }
+                    self.qp.read_synthetic(probe, 1).await
                 }
-                self.qp.read_synthetic(probe, 1).await
+                FlushImpl::HardwareNative => {
+                    // On-NIC address resolution is a table lookup: charge a
+                    // small fraction of the emulated stall.
+                    self.native_flush(addressing / 16).await
+                }
             }
-            FlushImpl::HardwareNative => {
-                // On-NIC address resolution is a table lookup: charge a
-                // small fraction of the emulated stall.
-                self.native_flush(addressing / 16).await
-            }
-        };
-        if r.is_ok() {
-            self.jot(EventKind::FlushAck);
-        }
-        r
+        })
+        .await
     }
 
     /// The modeled native flush verb: a header-sized command to the remote
@@ -135,7 +127,7 @@ impl FlushOps {
         // Flush command on the wire (header only).
         qp.flush_command().await?;
         if remote_extra > SimDuration::ZERO {
-            let _nic = self.remote_nic_span();
+            let _nic = qp.remote().obs().span(Phase::NicDma);
             qp.local().handle().sleep(remote_extra).await;
         }
         Ok(())

@@ -32,6 +32,7 @@ use std::rc::Rc;
 use prdma_pmem::{PmDevice, PmRegion};
 use prdma_rnic::{MemTarget, Payload, PersistToken, Qp, RdmaResult};
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
+use prdma_simnet::trace::Phase;
 use prdma_simnet::SimDuration;
 
 use crate::flush::FlushOps;
@@ -393,10 +394,10 @@ impl RedoLog {
         out
     }
 
-    fn jot(&self, subsystem: Subsystem, kind: EventKind, index: u64, bytes: u64) {
-        if let Some(j) = self.pm.journal() {
-            j.record(subsystem, kind, self.id_base.get() | index, index, bytes);
-        }
+    /// The journal id (`lane << 40 | index`) of log entry `index`, as
+    /// [`RemoteLogWriter::journal_id`] assigns it.
+    fn journal_id(&self, index: u64) -> u64 {
+        self.id_base.get() | index
     }
 
     /// The log geometry.
@@ -458,7 +459,13 @@ impl RedoLog {
     pub async fn mark_done(&self, index: u64) -> RdmaResult<()> {
         let state_addr = self.layout.slot_addr(index) + 32;
         self.pm.cache_write(state_addr, &STATE_DONE.to_le_bytes())?;
-        self.jot(Subsystem::Log, EventKind::LogDone, index, 0);
+        self.pm.obs().event(
+            Subsystem::Log,
+            EventKind::LogDone,
+            self.journal_id(index),
+            index,
+            0,
+        );
         self.done_window.borrow_mut().insert(index);
         // Advance head over contiguous completions.
         let mut head = self.cursor.head();
@@ -473,10 +480,7 @@ impl RedoLog {
             if head - self.persisted_head.get() >= self.head_persist_interval.get() {
                 // Log maintenance: composite LogPersist span on top of the
                 // PmMedia time the flush itself records.
-                let _span = self
-                    .pm
-                    .tracer()
-                    .map(|t| t.span(prdma_simnet::trace::Phase::LogPersist));
+                let _span = self.pm.obs().span(Phase::LogPersist);
                 let head_addr = self.layout.region.offset;
                 self.pm.cache_write(head_addr, &head.to_le_bytes())?;
                 self.pm.clflush(head_addr, 8).await?;
@@ -494,7 +498,14 @@ impl RedoLog {
     pub fn recover(&self) -> Vec<LogEntry> {
         let head_bytes = self.pm.read_persistent_view(self.layout.region.offset, 8);
         let head = u64_at(&head_bytes, 0);
-        self.jot(Subsystem::Recovery, EventKind::RecoveryStart, head, 0);
+        let obs = self.pm.obs();
+        obs.event(
+            Subsystem::Recovery,
+            EventKind::RecoveryStart,
+            self.journal_id(head),
+            head,
+            0,
+        );
         // The shared cursor survives the crash in the harness (it is host
         // state): its tail is how far the client had appended, which bounds
         // the slots the scan can fail to reach.
@@ -503,9 +514,10 @@ impl RedoLog {
         let mut idx = head;
         while let Some(entry) = self.read_entry_from(idx, true) {
             if !entry.done {
-                self.jot(
+                obs.event(
                     Subsystem::Recovery,
                     EventKind::RecoveryReplay,
+                    self.journal_id(idx),
                     idx,
                     entry.payload.len() as u64,
                 );
@@ -520,7 +532,13 @@ impl RedoLog {
         // the crash (torn or still in volatile buffers): report them lost
         // so the auditor can account for every append.
         for lost in idx..appended_tail {
-            self.jot(Subsystem::Recovery, EventKind::RecoveryLost, lost, 0);
+            obs.event(
+                Subsystem::Recovery,
+                EventKind::RecoveryLost,
+                self.journal_id(lost),
+                lost,
+                0,
+            );
         }
         // Rebuild volatile cursors: tail = first invalid index.
         self.cursor.reset(head, idx);
@@ -558,15 +576,13 @@ impl RedoLog {
                 None => break,
             }
         }
-        if let Some(j) = self.pm.journal() {
-            j.record(
-                Subsystem::Recovery,
-                EventKind::RecoveryStart,
-                NO_ID,
-                NO_ID,
-                pending.len() as u64,
-            );
-        }
+        self.pm.obs().event(
+            Subsystem::Recovery,
+            EventKind::RecoveryStart,
+            NO_ID,
+            NO_ID,
+            pending.len() as u64,
+        );
         pending
     }
 }
@@ -644,16 +660,18 @@ impl RemoteLogWriter {
         self.id_base.get() | index
     }
 
-    fn jot_append(&self, index: u64, bytes: u64) {
-        if let Some(j) = self.qp.local().journal() {
-            j.record(
-                Subsystem::Log,
-                EventKind::LogAppend,
-                self.journal_id(index),
-                index,
-                bytes,
-            );
-        }
+    /// Claim the next ring slot for an entry of `bytes` and journal its
+    /// `LogAppend`.
+    fn claim_slot(&self, bytes: u64) -> u64 {
+        let index = self.cursor.advance_tail();
+        self.qp.local().obs().event(
+            Subsystem::Log,
+            EventKind::LogAppend,
+            self.journal_id(index),
+            index,
+            bytes,
+        );
+        index
     }
 
     /// The flush operations bound to this writer's QP.
@@ -704,8 +722,7 @@ impl RemoteLogWriter {
         let mut metas = Vec::with_capacity(items.len());
         for (op, data) in items {
             assert!(data.len() <= self.layout.max_payload(), "payload too large");
-            let index = self.cursor.advance_tail();
-            self.jot_append(index, data.len());
+            let index = self.claim_slot(data.len());
             let image = encode_entry(index, op, &data);
             writes.push((MemTarget::Pm(self.layout.slot_addr(index)), image));
             metas.push((index, data.len()));
@@ -734,8 +751,7 @@ impl RemoteLogWriter {
     pub async fn append_send(&self, op: RpcOperator, data: &Payload) -> RdmaResult<Appended> {
         assert!(data.len() <= self.layout.max_payload(), "payload too large");
         self.flow_control().await;
-        let index = self.cursor.advance_tail();
-        self.jot_append(index, data.len());
+        let index = self.claim_slot(data.len());
         self.qp.tag_rpc(self.journal_id(index));
         let image = encode_entry(index, op, data);
         let token = self.qp.send(image).await?;

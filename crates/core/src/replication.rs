@@ -97,12 +97,6 @@ impl GroupState {
         self.id_base | c
     }
 
-    fn jot(&self, kind: EventKind, rpc_id: u64, wr_id: u64, bytes: u64) {
-        if let Some(j) = self.client.journal() {
-            j.record(Subsystem::Rpc, kind, rpc_id, wr_id, bytes);
-        }
-    }
-
     /// Mark `slot` down; if it was the primary, promote the next live
     /// backup (cyclic scan — deterministic) and bump the epoch.
     fn mark_down(&self, slot: usize) {
@@ -138,7 +132,13 @@ impl GroupState {
         self.primary.set(next);
         let epoch = self.epoch.get() + 1;
         self.epoch.set(epoch);
-        self.jot(EventKind::Promote, NO_ID, epoch, self.nodes[next] as u64);
+        self.client.obs().event(
+            Subsystem::Rpc,
+            EventKind::Promote,
+            NO_ID,
+            epoch,
+            self.nodes[next] as u64,
+        );
         if let Some(m) = self.client.metrics() {
             m.incr(Key::new("failovers"), 1);
             m.gauge_set(Key::new("promotion_epoch"), epoch as i64);
@@ -445,8 +445,8 @@ impl ReplicatedClient {
         // never appears in LogAppend records (each replica leg has its own
         // log-derived id, linked via `ReplLink`), so the auditor's
         // complete-after-append invariant is unaffected.
-        self.state
-            .jot(EventKind::RpcDispatch, id, NO_ID, data.len());
+        let (obs, bytes) = (self.state.client.obs(), data.len());
+        obs.event(Subsystem::Rpc, EventKind::RpcDispatch, id, NO_ID, bytes);
         let t0 = self.handle.now();
         let n = self.replicas.len();
         let mut acked = vec![false; n];
@@ -466,8 +466,8 @@ impl ReplicatedClient {
                     Ok(()) => {
                         acked[o.replica] = true;
                         // One replica's PM holds the entry durably.
-                        self.state
-                            .jot(EventKind::ReplAppend, id, o.replica as u64, data.len());
+                        let replica = o.replica as u64;
+                        obs.event(Subsystem::Rpc, EventKind::ReplAppend, id, replica, bytes);
                     }
                     Err(e) => last_err = e,
                 }
@@ -483,10 +483,9 @@ impl ReplicatedClient {
                         self.state.push_missed(s, obj, data.clone(), id);
                     }
                 }
-                self.state
-                    .jot(EventKind::ReplAck, id, n_acked as u64, data.len());
-                self.state
-                    .jot(EventKind::RpcComplete, id, NO_ID, data.len());
+                let n_acked = n_acked as u64;
+                obs.event(Subsystem::Rpc, EventKind::ReplAck, id, n_acked, bytes);
+                obs.event(Subsystem::Rpc, EventKind::RpcComplete, id, NO_ID, bytes);
                 if let Some(m) = self.state.client.metrics() {
                     m.incr(Key::new("repl_puts"), 1);
                     m.observe_duration(Key::new("repl_put_latency_ns"), self.handle.now() - t0);

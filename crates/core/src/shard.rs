@@ -527,7 +527,7 @@ fn shard_lease(cluster: &Cluster, shard: usize, cache: &CacheConfig) -> LeaseSta
 /// Like [`build_sharded_durable`], with the hot-key lease cache and the
 /// adaptive one-sided READ fast path in front of every shard endpoint:
 /// each shard gets one [`LeaseState`] (and, when `cache.mirror` is on, a
-/// server-DRAM [`MirrorRegion`](crate::store::MirrorRegion) plus one RC
+/// server-DRAM [`MirrorRegion`] plus one RC
 /// QP per client for one-sided reads) shared by all clients, and every
 /// durable put bumps the key's lease epoch before its flush ACK
 /// (invariant I5). Returns the service plus the per-shard lease tables

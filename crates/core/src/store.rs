@@ -45,17 +45,6 @@ impl ObjectStore {
         }
     }
 
-    /// Object slots the region holds before ids wrap; size regions to
-    /// `objects * slot_size` to keep content-bearing workloads below this.
-    pub fn slots_in_region(&self) -> u64 {
-        self.slots_in_region
-    }
-
-    /// Object slot size in bytes.
-    pub fn slot_size(&self) -> u64 {
-        self.slot_size
-    }
-
     /// Device address of `obj_id`'s slot.
     pub fn addr(&self, obj_id: u64) -> u64 {
         self.region.offset + (obj_id % self.slots_in_region) * self.slot_size

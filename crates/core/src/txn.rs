@@ -365,15 +365,13 @@ impl TxnState {
                 }
             }
             self.inner.applies.set(self.inner.applies.get() + 1);
-            if let Some(j) = node.journal() {
-                j.record(
-                    Subsystem::Rpc,
-                    EventKind::TxnApply,
-                    txn,
-                    node.id.0 as u64,
-                    bytes,
-                );
-            }
+            node.obs().event(
+                Subsystem::Rpc,
+                EventKind::TxnApply,
+                txn,
+                node.id.0 as u64,
+                bytes,
+            );
         }
         self.unlock_all(txn);
         let _ = log.mark_done(st.prep_index).await;
@@ -596,12 +594,6 @@ impl TxnClient {
         }
     }
 
-    fn jot(&self, kind: EventKind, rpc_id: u64, wr_id: u64, bytes: u64) {
-        if let Some(j) = self.node.journal() {
-            j.record(Subsystem::Rpc, kind, rpc_id, wr_id, bytes);
-        }
-    }
-
     /// Open a transaction.
     pub fn begin(&self) -> Txn {
         let c = self.next_txn.get();
@@ -697,7 +689,9 @@ impl TxnClient {
             for &shard in &participants {
                 self.states[shard].unlock_all(id);
             }
-            self.jot(EventKind::TxnAbort, id, 0, 0);
+            self.node
+                .obs()
+                .event(Subsystem::Rpc, EventKind::TxnAbort, id, 0, 0);
             self.aborts.set(self.aborts.get() + 1);
             Ok(TxnOutcome::Aborted(reason))
         };
@@ -734,7 +728,13 @@ impl TxnClient {
         for (shard, bytes, join) in joins {
             if join.await.is_ok() {
                 prepared.push(shard);
-                self.jot(EventKind::TxnPrepare, id, shard as u64, bytes);
+                self.node.obs().event(
+                    Subsystem::Rpc,
+                    EventKind::TxnPrepare,
+                    id,
+                    shard as u64,
+                    bytes,
+                );
                 self.phase(TxnPhase::AfterPrepare(prepared.len()));
             }
         }
@@ -743,7 +743,13 @@ impl TxnClient {
             // prepare (background, retried) release their stages; host
             // locks release now. No decided record ever says commit, so
             // replay can only discard.
-            self.jot(EventKind::TxnAbort, id, prepared.len() as u64, 0);
+            self.node.obs().event(
+                Subsystem::Rpc,
+                EventKind::TxnAbort,
+                id,
+                prepared.len() as u64,
+                0,
+            );
             for &shard in &prepared {
                 self.append_background(
                     shard,
@@ -765,17 +771,20 @@ impl TxnClient {
         // aborts, and let recovery resolve from the logs.
         let decide = encode_decide(true, &participants);
         self.append(coord, OpCode::TxnDecide, id, decide).await?;
-        self.jot(EventKind::TxnDecide, id, coord as u64, 1);
+        self.node
+            .obs()
+            .event(Subsystem::Rpc, EventKind::TxnDecide, id, coord as u64, 1);
         self.phase(TxnPhase::AfterDecide);
 
         // Lease revocation for every written key *before* the txn ACK
         // (invariant I5a, with the TxnAck standing in for RpcComplete).
         let mut total_bytes = 0u64;
         for (&(shard, local), bytes) in &ws {
-            self.leases[shard].bump(local, id, self.node.journal());
+            self.leases[shard].bump(local, id, self.node.obs());
             total_bytes += bytes.len() as u64;
         }
-        self.jot(
+        self.node.obs().event(
+            Subsystem::Rpc,
             EventKind::TxnAck,
             id,
             participants.len() as u64,

@@ -8,7 +8,7 @@ use prdma_rnic::{Fabric, NodeId, Qp, QpMode, Rnic, RnicConfig};
 use prdma_simnet::journal::{self, AuditReport, Journal, Record};
 use prdma_simnet::metrics::{self, Key, Metrics, Snapshot};
 use prdma_simnet::trace::{TraceReport, Tracer};
-use prdma_simnet::{Notify, SimDuration, SimHandle};
+use prdma_simnet::{Notify, Obs, SimDuration, SimHandle};
 
 use crate::cpu::{CpuConfig, CpuModel};
 
@@ -98,9 +98,7 @@ pub struct Node {
     /// DAX region allocator over `pm`.
     pub alloc: DaxAllocator,
     rnic: Rnic,
-    tracer: Tracer,
-    journal: Option<Journal>,
-    metrics: Option<Metrics>,
+    obs: Obs,
     /// Software liveness: false while the node's RPC service is down.
     /// Distinct from the NIC's hardware liveness — a *service* crash (the
     /// paper's unikernel restart) leaves the NIC and PM operating, so
@@ -115,21 +113,27 @@ impl Node {
         &self.rnic
     }
 
-    /// The node's latency-breakdown tracer, shared by its CPU, PM device,
-    /// and RNIC. System builders assign its role (sender/receiver).
+    /// The node's observability handle, shared by its CPU, PM device and
+    /// RNIC and by every protocol layer running on the node.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
+    /// The node's latency-breakdown tracer. System builders assign its
+    /// role (sender/receiver).
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        self.obs.tracer()
     }
 
     /// The node's event journal, if [`ClusterConfig::journal`] was set.
     pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
+        self.obs.journal()
     }
 
     /// The node's metrics registry, unless [`ClusterConfig::metrics`]
     /// was disabled.
     pub fn metrics(&self) -> Option<&Metrics> {
-        self.metrics.as_ref()
+        self.obs.metrics()
     }
 
     /// Crash this node: RNIC SRAM, DRAM, and dirty LLC lines are lost;
@@ -214,20 +218,9 @@ impl Cluster {
             let cpu = CpuModel::new(handle.clone(), cfg.cpu.clone());
             let alloc = DaxAllocator::new(&pm);
             let rnic = fabric.rnic(id);
-            // One tracer per node, shared by every component so the
-            // latency breakdown sees the whole node's activity.
-            let tracer = Tracer::new(handle.clone());
-            pm.set_tracer(&tracer);
-            cpu.set_tracer(&tracer);
-            rnic.set_tracer(&tracer);
-            // One journal per node, likewise shared — but only when asked
-            // for, so untraced runs pay nothing.
-            let journal = cfg.journal.then(|| {
-                let j = Journal::new(handle.clone(), i as u32);
-                pm.set_journal(&j);
-                rnic.set_journal(&j);
-                j
-            });
+            // The journal only when asked for, so untraced runs pay
+            // nothing.
+            let journal = cfg.journal.then(|| Journal::new(handle.clone(), i as u32));
             // One metrics registry per node; gauge providers expose the
             // NIC/PM occupancy numbers journal::gauges derives offline,
             // so the dashboard sees utilization without full journaling.
@@ -253,6 +246,12 @@ impl Cluster {
                 });
                 m
             });
+            // One handle per node, shared by every component so each sink
+            // sees the whole node's activity.
+            let obs = Obs::new(Tracer::new(handle.clone()), journal, metrics);
+            pm.attach_obs(&obs);
+            cpu.attach_obs(&obs);
+            rnic.attach_obs(&obs);
             nodes.push(Node {
                 id,
                 pm,
@@ -260,9 +259,7 @@ impl Cluster {
                 cpu,
                 alloc,
                 rnic,
-                tracer,
-                journal,
-                metrics,
+                obs,
                 service_up: Rc::new(Cell::new(true)),
                 service_changed: Notify::new(),
             });
@@ -310,7 +307,7 @@ impl Cluster {
     pub fn trace_report(&self) -> TraceReport {
         let mut report = TraceReport::new();
         for node in &self.nodes {
-            report.merge(&node.tracer.report());
+            report.merge(&node.tracer().report());
         }
         report
     }
@@ -321,7 +318,7 @@ impl Cluster {
         let journals: Vec<Journal> = self
             .nodes
             .iter()
-            .filter_map(|n| n.journal.clone())
+            .filter_map(|n| n.journal().cloned())
             .collect();
         journal::merge(&journals)
     }
@@ -339,18 +336,13 @@ impl Cluster {
         let per_node: Vec<Vec<Snapshot>> = self
             .nodes
             .iter()
-            .filter_map(|n| n.metrics.as_ref())
+            .filter_map(Node::metrics)
             .map(|m| {
                 m.force_snapshot();
                 m.snapshots()
             })
             .collect();
         metrics::merge_snapshots(per_node)
-    }
-
-    /// The fleet metrics time series as deterministic JSONL.
-    pub fn metrics_jsonl(&self) -> String {
-        metrics::to_jsonl(&self.metrics_snapshots())
     }
 
     /// Connect nodes `a` and `b` with a QP pair; the client-side QP (first
@@ -386,6 +378,52 @@ mod tests {
             assert!(tok.wait().await);
         });
         assert_eq!(server_pm.read_persistent_view(0, 32), vec![7; 32]);
+    }
+
+    #[test]
+    fn every_component_emits_through_its_node_obs() {
+        use prdma_simnet::journal::EventKind;
+        use prdma_simnet::trace::Phase;
+        let mut sim = Sim::new(1);
+        let cfg = ClusterConfig {
+            journal: true,
+            ..ClusterConfig::with_nodes(2)
+        };
+        let cluster = Cluster::new(sim.handle(), cfg);
+        let (qc, _qs) = cluster.connect(1, 0, QpMode::Rc);
+        let server = cluster.node(0).clone();
+        sim.block_on(async move {
+            let tok = qc
+                .write(MemTarget::Pm(0), Payload::from_bytes(vec![7; 64]))
+                .await
+                .unwrap();
+            assert!(tok.wait().await);
+            server.cpu.compute(SimDuration::from_micros(1)).await;
+        });
+        // The server's PM device, NIC and CPU all trace into its tracer.
+        let server = cluster.node(0).tracer().report();
+        for phase in [Phase::PmMedia, Phase::NicDma, Phase::Wire, Phase::SenderSw] {
+            assert!(server.summary(phase).count > 0, "server {phase:?}");
+        }
+        // The client posted and sent, but owns none of the server's work.
+        let client = cluster.node(1).tracer().report();
+        assert!(client.summary(Phase::SenderSw).count > 0);
+        assert_eq!(client.summary(Phase::PmMedia).count, 0);
+        assert_eq!(client.summary(Phase::NicDma).count, 0);
+        // Each node journals its own components' events.
+        let kinds = |i: usize| -> Vec<EventKind> {
+            let j = cluster.node(i).journal().unwrap();
+            j.records().iter().map(|r| r.kind).collect()
+        };
+        let (server, client) = (kinds(0), kinds(1));
+        for k in [
+            EventKind::PmWrite,
+            EventKind::DmaIssue,
+            EventKind::SramAdmit,
+        ] {
+            assert!(server.contains(&k) && !client.contains(&k), "{k:?}");
+        }
+        assert!(client.contains(&EventKind::Doorbell));
     }
 
     #[test]

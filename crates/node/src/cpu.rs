@@ -2,11 +2,11 @@
 //! injection, and costs for the software operations RPC systems perform
 //! (polling dispatch, memcpy, request parsing).
 
-use std::cell::RefCell;
+use std::cell::OnceCell;
 use std::rc::Rc;
 
-use prdma_simnet::trace::{Span, Tracer};
-use prdma_simnet::{FifoResource, SimDuration, SimHandle};
+use prdma_simnet::trace::Tracer;
+use prdma_simnet::{FifoResource, Obs, SimDuration, SimHandle};
 
 /// CPU timing/geometry parameters.
 ///
@@ -49,28 +49,37 @@ impl Default for CpuConfig {
 pub struct CpuModel {
     cfg: CpuConfig,
     cores: FifoResource,
-    tracer: Rc<RefCell<Option<Tracer>>>,
+    handle: SimHandle,
+    obs: Rc<OnceCell<Obs>>,
 }
 
 impl CpuModel {
     /// Build a CPU with `cfg.cores` cores.
     pub fn new(handle: SimHandle, cfg: CpuConfig) -> Self {
-        let cores = FifoResource::new(handle, cfg.cores.max(1));
+        let cores = FifoResource::new(handle.clone(), cfg.cores.max(1));
         CpuModel {
             cfg,
             cores,
-            tracer: Rc::new(RefCell::new(None)),
+            handle,
+            obs: Rc::default(),
         }
     }
 
-    /// Attach the owning node's latency tracer; CPU time is recorded as
-    /// sender- or receiver-side software per the tracer's role.
-    pub fn set_tracer(&self, tracer: &Tracer) {
-        *self.tracer.borrow_mut() = Some(tracer.clone());
+    /// Attach the owning node's observability handle; CPU time is traced
+    /// as sender- or receiver-side software per the tracer's role. Attach
+    /// once, before the CPU is used.
+    pub fn attach_obs(&self, obs: &Obs) {
+        assert!(
+            self.obs.set(obs.clone()).is_ok(),
+            "CPU observability attached twice or after use"
+        );
     }
 
-    fn sw_span(&self) -> Option<Span> {
-        self.tracer.borrow().as_ref().map(|t| t.span_sw())
+    /// The node's observability handle. A CPU used before any attach gets
+    /// a private tracer and no journal.
+    fn obs(&self) -> &Obs {
+        self.obs
+            .get_or_init(|| Obs::new(Tracer::new(self.handle.clone()), None, None))
     }
 
     /// This CPU's configuration.
@@ -85,7 +94,7 @@ impl CpuModel {
 
     /// Run `work` of computation on one core (queueing when all are busy).
     pub async fn compute(&self, work: SimDuration) {
-        let _span = self.sw_span();
+        let _span = self.obs().span_sw();
         self.cores.process(work).await;
     }
 
@@ -97,26 +106,26 @@ impl CpuModel {
 
     /// The cost of noticing a message via memory polling and dispatching it.
     pub async fn poll_dispatch(&self) {
-        let _span = self.sw_span();
+        let _span = self.obs().span_sw();
         self.cores.process(self.cfg.poll_dispatch).await;
     }
 
     /// Parse a two-sided request (header decode, handler lookup).
     pub async fn parse_request(&self) {
-        let _span = self.sw_span();
+        let _span = self.obs().span_sw();
         self.cores.process(self.cfg.parse_request).await;
     }
 
     /// Copy `bytes` between buffers on one core.
     pub async fn memcpy(&self, bytes: u64) {
         let t = prdma_simnet::transfer_time(bytes, self.cfg.memcpy_gbps);
-        let _span = self.sw_span();
+        let _span = self.obs().span_sw();
         self.cores.process(t).await;
     }
 
     /// Spawn/schedule a handler thread for an RPC.
     pub async fn dispatch_thread(&self) {
-        let _span = self.sw_span();
+        let _span = self.obs().span_sw();
         self.cores.process(self.cfg.dispatch_thread).await;
     }
 

@@ -111,10 +111,9 @@ impl FaultInjector {
     }
 }
 
-fn jot_fault(node: &Node, kind: EventKind, wr_id: u64) {
-    if let Some(j) = node.journal() {
-        j.record(Subsystem::Fault, kind, NO_ID, wr_id, 0);
-    }
+/// Journal a fault transition on `node` and count it in its metrics.
+fn record_fault(node: &Node, kind: EventKind, wr_id: u64) {
+    node.obs().event(Subsystem::Fault, kind, NO_ID, wr_id, 0);
     if let Some(m) = node.metrics() {
         m.incr(
             prdma_simnet::metrics::Key::new("faults").kind(kind.name()),
@@ -169,7 +168,7 @@ fn apply_event(
     match ev.kind {
         FaultKind::NodeCrash { down_for } => {
             node.crash();
-            jot_fault(&node, EventKind::NodeCrash, down_for.as_nanos());
+            record_fault(&node, EventKind::NodeCrash, down_for.as_nanos());
             inj.bump(|s| s.node_crashes += 1);
             inj.run_fault_hooks(ev.node, ev.kind);
             let inj = inj.clone();
@@ -177,13 +176,13 @@ fn apply_event(
             h.spawn(async move {
                 h2.sleep(down_for).await;
                 node.restart();
-                jot_fault(&node, EventKind::NodeRestart, NO_ID);
+                record_fault(&node, EventKind::NodeRestart, NO_ID);
                 inj.run_hooks(ev.node, ev.kind);
             });
         }
         FaultKind::ServiceCrash { down_for } => {
             node.crash_service();
-            jot_fault(&node, EventKind::ServiceCrash, down_for.as_nanos());
+            record_fault(&node, EventKind::ServiceCrash, down_for.as_nanos());
             inj.bump(|s| s.service_crashes += 1);
             inj.run_fault_hooks(ev.node, ev.kind);
             let inj = inj.clone();
@@ -191,13 +190,13 @@ fn apply_event(
             h.spawn(async move {
                 h2.sleep(down_for).await;
                 node.restart_service();
-                jot_fault(&node, EventKind::ServiceRestart, NO_ID);
+                record_fault(&node, EventKind::ServiceRestart, NO_ID);
                 inj.run_hooks(ev.node, ev.kind);
             });
         }
         FaultKind::SramLoss => {
             node.rnic().lose_sram();
-            jot_fault(&node, EventKind::SramLoss, NO_ID);
+            record_fault(&node, EventKind::SramLoss, NO_ID);
             inj.bump(|s| s.sram_losses += 1);
             // The NIC-reset recovery path runs immediately: clear the
             // flush poison and let the registered hooks replay the log.
@@ -206,12 +205,12 @@ fn apply_event(
         }
         FaultKind::LossBurst { rate, duration } => {
             node.rnic().inject_loss(rate, h.now() + duration);
-            jot_fault(&node, EventKind::LossBurst, duration.as_nanos());
+            record_fault(&node, EventKind::LossBurst, duration.as_nanos());
             inj.bump(|s| s.loss_bursts += 1);
         }
         FaultKind::LinkDegrade { factor, duration } => {
             fabric.degrade_ingress(node.id, factor);
-            jot_fault(&node, EventKind::LinkDegrade, duration.as_nanos());
+            record_fault(&node, EventKind::LinkDegrade, duration.as_nanos());
             inj.bump(|s| s.link_degrades += 1);
             let fabric = fabric.clone();
             let h2 = h.clone();

@@ -7,13 +7,13 @@
 //! power failure: only what was flushed (or DMA'd directly, with DDIO off)
 //! survives.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use prdma_simnet::journal::{EventKind, Journal, Subsystem, NO_ID};
-use prdma_simnet::trace::{counters, Phase, Span, Tracer};
-use prdma_simnet::{FifoResource, SimDuration, SimHandle};
+use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
+use prdma_simnet::trace::{Phase, Tracer};
+use prdma_simnet::{FifoResource, Obs, SimDuration, SimHandle};
 
 use crate::config::PmConfig;
 
@@ -60,10 +60,8 @@ struct PmInner {
     media_port: FifoResource,
     bytes_persisted: Cell<u64>,
     crashes: Cell<u64>,
-    /// Latency-breakdown sink (the node's tracer, once attached).
-    tracer: RefCell<Option<Tracer>>,
-    /// Structured event sink (the node's journal, once attached).
-    journal: RefCell<Option<Journal>>,
+    /// The owning node's observability handle (see [`PmDevice::obs`]).
+    obs: OnceCell<Obs>,
 }
 
 /// A simulated persistent-memory device. Cheap to clone (shared handle).
@@ -85,56 +83,39 @@ impl PmDevice {
                 cfg,
                 bytes_persisted: Cell::new(0),
                 crashes: Cell::new(0),
-                tracer: RefCell::new(None),
-                journal: RefCell::new(None),
+                obs: OnceCell::new(),
             }),
         }
     }
 
-    /// Attach the owning node's latency tracer; media service time is
-    /// recorded as [`Phase::PmMedia`] from then on.
-    pub fn set_tracer(&self, tracer: &Tracer) {
-        *self.inner.tracer.borrow_mut() = Some(tracer.clone());
+    /// Attach the owning node's observability handle: media service time
+    /// is traced as [`Phase::PmMedia`] and every commit of bytes to the
+    /// persistence domain is journaled as a `PmWrite`. Attach once, before
+    /// the device is used.
+    pub fn attach_obs(&self, obs: &Obs) {
+        assert!(
+            self.inner.obs.set(obs.clone()).is_ok(),
+            "PM device observability attached twice or after use"
+        );
     }
 
-    /// The attached tracer, if any (lets layers above the device — e.g.
-    /// the redo log — record composite phases against the same sink).
-    pub fn tracer(&self) -> Option<Tracer> {
-        self.inner.tracer.borrow().clone()
-    }
-
-    fn media_span(&self) -> Option<Span> {
+    /// The node's observability handle (shared with layers above the
+    /// device, e.g. the redo log). A device used before any attach gets a
+    /// private tracer and no journal.
+    pub fn obs(&self) -> &Obs {
         self.inner
-            .tracer
-            .borrow()
-            .as_ref()
-            .map(|t| t.span(Phase::PmMedia))
+            .obs
+            .get_or_init(|| Obs::new(Tracer::new(self.inner.handle.clone()), None, None))
     }
 
-    fn trace_incr(&self, name: &'static str) {
-        if let Some(t) = self.inner.tracer.borrow().as_ref() {
-            t.incr(name);
-        }
-    }
-
-    /// Attach the owning node's event journal: every commit of bytes to
-    /// the persistence domain is recorded as a `PmWrite` from then on.
-    pub fn set_journal(&self, journal: &Journal) {
-        *self.inner.journal.borrow_mut() = Some(journal.clone());
-    }
-
-    /// The attached journal, if any (lets layers above the device — e.g.
-    /// the redo log — record their events against the same sink).
-    pub fn journal(&self) -> Option<Journal> {
-        self.inner.journal.borrow().clone()
-    }
-
-    /// Journal a commit of `bytes` into the persistence domain. Kept in
-    /// lockstep with the `bytes_persisted` accounting.
-    fn jot_pm_write(&self, bytes: u64) {
-        if let Some(j) = self.inner.journal.borrow().as_ref() {
-            j.record(Subsystem::Pm, EventKind::PmWrite, NO_ID, NO_ID, bytes);
-        }
+    /// Count a commit of `bytes` into the persistence domain and journal
+    /// it as a `PmWrite`, keeping the two in lockstep.
+    fn note_persisted(&self, bytes: u64) {
+        self.inner
+            .bytes_persisted
+            .set(self.inner.bytes_persisted.get() + bytes);
+        self.obs()
+            .event(Subsystem::Pm, EventKind::PmWrite, NO_ID, NO_ID, bytes);
     }
 
     /// Device capacity in bytes.
@@ -176,16 +157,13 @@ impl PmDevice {
         self.check(addr, data.len() as u64)?;
         let t = self.media_write_time(data.len() as u64);
         {
-            let _span = self.media_span();
+            let _span = self.obs().span(Phase::PmMedia);
             self.inner.media_port.process(t).await;
         }
         // DMA snoops the cache: overlapping dirty lines are invalidated
         // (commit_persistent does both the media write and the snoop).
         self.commit_persistent(addr, data)?;
-        self.inner
-            .bytes_persisted
-            .set(self.inner.bytes_persisted.get() + data.len() as u64);
-        self.jot_pm_write(data.len() as u64);
+        self.note_persisted(data.len() as u64);
         Ok(())
     }
 
@@ -195,13 +173,10 @@ impl PmDevice {
     pub async fn simulate_write_time(&self, len: u64) {
         let t = self.media_write_time(len);
         {
-            let _span = self.media_span();
+            let _span = self.obs().span(Phase::PmMedia);
             self.inner.media_port.process(t).await;
         }
-        self.inner
-            .bytes_persisted
-            .set(self.inner.bytes_persisted.get() + len);
-        self.jot_pm_write(len);
+        self.note_persisted(len);
     }
 
     /// Place content in the persistence domain with zero simulated time —
@@ -233,7 +208,7 @@ impl PmDevice {
     /// Model the time of a media read of `len` bytes without copying.
     pub async fn simulate_read_time(&self, len: u64) {
         let t = self.media_read_time(len);
-        let _span = self.media_span();
+        let _span = self.obs().span(Phase::PmMedia);
         self.inner.media_port.process(t).await;
     }
 
@@ -243,8 +218,7 @@ impl PmDevice {
         if len == 0 {
             return;
         }
-        self.trace_incr(counters::CLFLUSH_CALLS);
-        let _span = self.media_span();
+        let _span = self.obs().span(Phase::PmMedia);
         let line = self.inner.cfg.cacheline;
         let lines = len.div_ceil(line);
         self.inner
@@ -253,10 +227,7 @@ impl PmDevice {
             .await;
         let t = self.media_write_time(lines * line);
         self.inner.media_port.process(t).await;
-        self.inner
-            .bytes_persisted
-            .set(self.inner.bytes_persisted.get() + lines * line);
-        self.jot_pm_write(lines * line);
+        self.note_persisted(lines * line);
     }
 
     /// An 8-byte atomic durable write (PM hardware guarantees 8-byte
@@ -310,8 +281,7 @@ impl PmDevice {
         if lines.is_empty() {
             return Ok(());
         }
-        self.trace_incr(counters::CLFLUSH_CALLS);
-        let _span = self.media_span();
+        let _span = self.obs().span(Phase::PmMedia);
         // Issue cost per line on the CPU, then one media transfer.
         let issue = self.inner.cfg.clflush_issue * lines.len() as u64;
         self.inner.handle.sleep(issue).await;
@@ -330,7 +300,7 @@ impl PmDevice {
         let cached = self.covered_by_cache(addr, len);
         if !cached {
             let t = self.media_read_time(len);
-            let _span = self.media_span();
+            let _span = self.obs().span(Phase::PmMedia);
             self.inner.media_port.process(t).await;
         }
         Ok(self.read_volatile_view(addr, len))
@@ -409,10 +379,7 @@ impl PmDevice {
     fn commit_to_media(&self, addr: u64, data: &[u8]) {
         let mut media = self.inner.media.borrow_mut();
         media[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-        self.inner
-            .bytes_persisted
-            .set(self.inner.bytes_persisted.get() + data.len() as u64);
-        self.jot_pm_write(data.len() as u64);
+        self.note_persisted(data.len() as u64);
     }
 
     fn covered_by_cache(&self, addr: u64, len: u64) -> bool {

@@ -2,13 +2,13 @@
 //! volatile SRAM staging buffer, and the PCIe posted-write ordering that
 //! makes read-after-write flushing work.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 
 use prdma_pmem::{PmDevice, VolatileMemory};
-use prdma_simnet::journal::{EventKind, Journal, Subsystem, NO_ID};
-use prdma_simnet::trace::{counters, Phase, Span, Tracer};
-use prdma_simnet::{FifoResource, Notify, SimDuration, SimHandle};
+use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
+use prdma_simnet::trace::{Phase, Span, Tracer};
+use prdma_simnet::{FifoResource, Notify, Obs, SimDuration, SimHandle};
 
 use crate::config::RnicConfig;
 use crate::payload::Payload;
@@ -111,10 +111,12 @@ struct RnicInner {
     msgs_processed: Cell<u64>,
     /// RC hardware retransmits attributed to this NIC as the sender.
     retransmits: Cell<u64>,
-    /// Latency-breakdown sink (the node's tracer, once attached).
-    tracer: std::cell::RefCell<Option<Tracer>>,
-    /// Structured event sink (the node's journal, once attached).
-    journal: std::cell::RefCell<Option<Journal>>,
+    /// Recv WQEs fetched over PCIe (two-sided and write-imm delivery).
+    recv_wqe_fetches: Cell<u64>,
+    /// Completion-queue entries DMA'd to host memory.
+    cqe_dma_writes: Cell<u64>,
+    /// The owning node's observability handle (see [`Rnic::obs`]).
+    obs: OnceCell<Obs>,
 }
 
 /// One RDMA NIC attached to a node's PM and DRAM. Cheap to clone.
@@ -148,53 +150,33 @@ impl Rnic {
                 injected_loss_until: Cell::new(0),
                 msgs_processed: Cell::new(0),
                 retransmits: Cell::new(0),
-                tracer: std::cell::RefCell::new(None),
-                journal: std::cell::RefCell::new(None),
+                recv_wqe_fetches: Cell::new(0),
+                cqe_dma_writes: Cell::new(0),
+                obs: OnceCell::new(),
             }),
         }
     }
 
-    /// Attach the owning node's latency tracer: packet-engine time is
-    /// recorded as [`Phase::Wire`], DMA-engine time as [`Phase::NicDma`],
-    /// and posted-write drains as [`Phase::FlushWait`].
-    pub fn set_tracer(&self, tracer: &Tracer) {
-        *self.inner.tracer.borrow_mut() = Some(tracer.clone());
+    /// Attach the owning node's observability handle. Packet-engine time
+    /// is traced as [`Phase::Wire`], DMA-engine time as [`Phase::NicDma`]
+    /// and posted-write drains as [`Phase::FlushWait`]; NIC-internal
+    /// transitions (SRAM admits, DMA tickets, WQE/CQE traffic, flush
+    /// barriers) are journaled. Attach once, before the NIC is used.
+    pub fn attach_obs(&self, obs: &Obs) {
+        assert!(
+            self.inner.obs.set(obs.clone()).is_ok(),
+            "RNIC observability attached twice or after use"
+        );
     }
 
-    /// The attached tracer, if any (shared with the QP layer, which
-    /// records verb-post software costs and wire legs against it).
-    pub fn tracer(&self) -> Option<Tracer> {
-        self.inner.tracer.borrow().clone()
-    }
-
-    fn span(&self, phase: Phase) -> Option<Span> {
-        self.inner.tracer.borrow().as_ref().map(|t| t.span(phase))
-    }
-
-    fn trace_incr(&self, name: &'static str) {
-        if let Some(t) = self.inner.tracer.borrow().as_ref() {
-            t.incr(name);
-        }
-    }
-
-    /// Attach the owning node's event journal. NIC-internal transitions
-    /// (SRAM admits, DMA tickets, WQE/CQE traffic, posted-write drains)
-    /// are recorded against it; when unattached nothing is recorded or
-    /// allocated.
-    pub fn set_journal(&self, journal: &Journal) {
-        *self.inner.journal.borrow_mut() = Some(journal.clone());
-    }
-
-    /// The attached journal, if any (shared with the QP layer, which
-    /// records doorbells and wire segments against it).
-    pub fn journal(&self) -> Option<Journal> {
-        self.inner.journal.borrow().clone()
-    }
-
-    fn jot(&self, subsystem: Subsystem, kind: EventKind, wr_id: u64, bytes: u64) {
-        if let Some(j) = self.inner.journal.borrow().as_ref() {
-            j.record(subsystem, kind, NO_ID, wr_id, bytes);
-        }
+    /// The node's observability handle (shared with the QP and flush
+    /// layers, which trace verb posts and wire legs and journal doorbells
+    /// and wire segments against it). A NIC used before any attach gets a
+    /// private tracer and no journal.
+    pub fn obs(&self) -> &Obs {
+        self.inner
+            .obs
+            .get_or_init(|| Obs::new(Tracer::new(self.inner.handle.clone()), None, None))
     }
 
     /// The configuration this RNIC was built with.
@@ -219,7 +201,7 @@ impl Rnic {
 
     /// Occupy one packet-processing engine for the per-message cost.
     pub async fn process_message(&self) {
-        let _span = self.span(Phase::Wire);
+        let _span = self.obs().span(Phase::Wire);
         self.inner.engine.process(self.inner.cfg.nic_process).await;
         self.inner
             .msgs_processed
@@ -233,14 +215,16 @@ impl Rnic {
         self.inner
             .sram_peak
             .set(self.inner.sram_peak.get().max(now));
-        self.jot(Subsystem::Nic, EventKind::SramAdmit, NO_ID, len);
+        self.obs()
+            .event(Subsystem::Nic, EventKind::SramAdmit, NO_ID, NO_ID, len);
     }
 
     /// Release staged bytes after DMA completes.
     pub fn sram_release(&self, len: u64) {
         let cur = self.inner.sram_bytes.get();
         self.inner.sram_bytes.set(cur.saturating_sub(len));
-        self.jot(Subsystem::Nic, EventKind::SramRelease, NO_ID, len);
+        self.obs()
+            .event(Subsystem::Nic, EventKind::SramRelease, NO_ID, NO_ID, len);
     }
 
     /// Peak SRAM occupancy observed (bytes).
@@ -300,7 +284,7 @@ impl Rnic {
         // flight, the transfer is aborted and nothing reaches memory.
         let epoch = self.inner.epoch.get();
         {
-            let _span = self.span(Phase::NicDma);
+            let _span = self.obs().span(Phase::NicDma);
             self.inner.dma.process(pcie).await;
         }
         if self.inner.epoch.get() != epoch || !self.inner.up.get() {
@@ -317,13 +301,11 @@ impl Rnic {
             MemTarget::Pm(addr) => {
                 if self.inner.cfg.ddio {
                     // DDIO routes the DMA into the LLC: volatile.
-                    self.trace_incr(counters::DDIO_DMA_WRITES);
                     for (off, bytes) in payload.inline_parts() {
                         self.inner.pm.cache_write(addr + off, bytes)?;
                     }
                     Ok(false)
                 } else {
-                    self.trace_incr(counters::DIRECT_DMA_WRITES);
                     // Straight to the persistence domain: pay the media
                     // time for the whole transfer, then place the content.
                     // A crash during the media write aborts the whole
@@ -354,7 +336,7 @@ impl Rnic {
         let pcie = self.inner.cfg.pcie_latency * 2
             + prdma_simnet::transfer_time(len, self.inner.cfg.pcie_gbps);
         {
-            let _span = self.span(Phase::NicDma);
+            let _span = self.obs().span(Phase::NicDma);
             self.inner.dma.process(pcie).await;
         }
         match target {
@@ -380,9 +362,16 @@ impl Rnic {
     /// PCIe fetch of a posted recv WQE (two-sided delivery prologue).
     /// A fetch is a PCIe *read*: request + completion, two bus traversals.
     pub async fn fetch_recv_wqe(&self) {
-        self.trace_incr(counters::RECV_WQE_FETCHES);
-        self.jot(Subsystem::Nic, EventKind::WqeFetch, NO_ID, 0);
-        let _span = self.span(Phase::NicDma);
+        let c = &self.inner.recv_wqe_fetches;
+        c.set(c.get() + 1);
+        let _span = self.obs().span_event(
+            Phase::NicDma,
+            Subsystem::Nic,
+            EventKind::WqeFetch,
+            NO_ID,
+            NO_ID,
+            0,
+        );
         self.inner
             .dma
             .process(self.inner.cfg.pcie_latency * 2)
@@ -395,9 +384,16 @@ impl Rnic {
     /// transports pay a higher hardware RTT than one-sided write + poll
     /// (paper Fig. 20: DaRPC vs FaRM).
     pub async fn dma_write_cqe(&self) {
-        self.trace_incr(counters::CQE_DMA_WRITES);
-        self.jot(Subsystem::Nic, EventKind::CqeWrite, NO_ID, 0);
-        let _span = self.span(Phase::NicDma);
+        let c = &self.inner.cqe_dma_writes;
+        c.set(c.get() + 1);
+        let _span = self.obs().span_event(
+            Phase::NicDma,
+            Subsystem::Nic,
+            EventKind::CqeWrite,
+            NO_ID,
+            NO_ID,
+            0,
+        );
         self.inner.dma.process(self.inner.cfg.pcie_latency).await;
     }
 
@@ -406,14 +402,16 @@ impl Rnic {
         let t = self.inner.next_dma_ticket.get();
         self.inner.next_dma_ticket.set(t + 1);
         self.inner.active_dma.borrow_mut().insert(t);
-        self.jot(Subsystem::Nic, EventKind::DmaIssue, t, 0);
+        self.obs()
+            .event(Subsystem::Nic, EventKind::DmaIssue, NO_ID, t, 0);
         t
     }
 
     /// Mark the end of a posted DMA write, releasing waiting reads.
     pub fn end_pending_dma(&self, ticket: u64) {
         self.inner.active_dma.borrow_mut().remove(&ticket);
-        self.jot(Subsystem::Nic, EventKind::DmaComplete, ticket, 0);
+        self.obs()
+            .event(Subsystem::Nic, EventKind::DmaComplete, NO_ID, ticket, 0);
         // Wake every drain waiter: each re-checks its own barrier (a
         // notify_one could wake a waiter whose barrier is not yet met,
         // losing the wake another waiter needed).
@@ -441,7 +439,8 @@ impl Rnic {
     /// [`restart`](Self::restart) (NIC reset + log recovery).
     pub async fn drain_posted_writes(&self) -> RdmaResult<()> {
         let barrier = self.inner.next_dma_ticket.get();
-        self.jot(Subsystem::Flush, EventKind::FlushIssue, barrier, 0);
+        self.obs()
+            .event(Subsystem::Flush, EventKind::FlushIssue, NO_ID, barrier, 0);
         // Only an actual wait is a flush stall; instantaneous drains
         // (nothing posted) stay out of the FlushWait distribution.
         let mut span: Option<Span> = None;
@@ -449,14 +448,15 @@ impl Rnic {
             let oldest = self.inner.active_dma.borrow().iter().next().copied();
             match oldest {
                 Some(t) if t < barrier => {
-                    span = span.or_else(|| self.span(Phase::FlushWait));
+                    span.get_or_insert_with(|| self.obs().span(Phase::FlushWait));
                     self.inner.dma_drained.notified().await;
                 }
                 _ => {
                     if !self.inner.up.get() || self.inner.dma_aborted.get() {
                         return Err(RdmaError::Disconnected);
                     }
-                    self.jot(Subsystem::Flush, EventKind::FlushAck, barrier, 0);
+                    self.obs()
+                        .event(Subsystem::Flush, EventKind::FlushAck, NO_ID, barrier, 0);
                     return Ok(());
                 }
             }
@@ -534,6 +534,16 @@ impl Rnic {
     /// RC hardware retransmits sent by this NIC so far.
     pub fn retransmits(&self) -> u64 {
         self.inner.retransmits.get()
+    }
+
+    /// Recv WQEs this NIC has fetched over PCIe.
+    pub fn recv_wqe_fetches(&self) -> u64 {
+        self.inner.recv_wqe_fetches.get()
+    }
+
+    /// Completion-queue entries this NIC has DMA'd to host memory.
+    pub fn cqe_dma_writes(&self) -> u64 {
+        self.inner.cqe_dma_writes.get()
     }
 
     /// Fail with [`RdmaError::Disconnected`] if the node is down.

@@ -84,16 +84,6 @@ impl PersistToken {
         })
     }
 
-    /// A token that is already resolved (for error paths / tests).
-    pub fn resolved(durable: bool) -> Self {
-        let (tx, rx) = oneshot();
-        tx.send(DmaOutcome {
-            durable,
-            delivered: true,
-        });
-        PersistToken { rx }
-    }
-
     /// A token for a message dropped on an unreliable transport.
     pub fn resolved_dropped() -> Self {
         let (tx, rx) = oneshot();
@@ -257,26 +247,12 @@ impl Qp {
         self.inner.rpc_tag.replace(NO_ID)
     }
 
-    /// Journal one event on the posting (local) node's Qp track.
-    fn jot_local(&self, kind: EventKind, rpc_id: u64, bytes: u64) {
-        if let Some(j) = self.inner.local.journal() {
-            j.record(Subsystem::Qp, kind, rpc_id, NO_ID, bytes);
-        }
-    }
-
-    /// Journal one event on the remote node's Qp track (segments the
-    /// remote NIC puts on the wire back toward us: ACKs, read data).
-    fn jot_remote(&self, kind: EventKind, rpc_id: u64, bytes: u64) {
-        if let Some(j) = self.inner.remote.journal() {
-            j.record(Subsystem::Qp, kind, rpc_id, NO_ID, bytes);
-        }
-    }
-
     async fn post_cost(&self, rpc: u64, d: SimDuration) {
         // Verb posting is software on the local node; the tracer's role
         // decides whether that is sender- or receiver-side time.
-        self.jot_local(EventKind::Doorbell, rpc, 0);
-        let _span = self.inner.local.tracer().map(|t| t.span_sw());
+        let obs = self.inner.local.obs();
+        obs.event(Subsystem::Qp, EventKind::Doorbell, rpc, NO_ID, 0);
+        let _span = obs.span_sw();
         let cpu = self.inner.sender_cpu.borrow().clone();
         match cpu {
             Some(cpu) => cpu.process(d).await,
@@ -284,9 +260,28 @@ impl Qp {
         }
     }
 
-    /// Wire-phase span against the local node's tracer (link legs).
-    fn wire_span(&self) -> Option<Span> {
-        self.inner.local.tracer().map(|t| t.span(Phase::Wire))
+    /// Open the wire span of a segment the local NIC puts on the wire,
+    /// journaling the segment on the local node's Qp track.
+    fn wire_out(&self, rpc: u64, bytes: u64) -> Span {
+        self.inner.local.obs().span_event(
+            Phase::Wire,
+            Subsystem::Qp,
+            EventKind::WireSegment,
+            rpc,
+            NO_ID,
+            bytes,
+        )
+    }
+
+    /// Open the wire span of a segment the remote NIC puts on the wire
+    /// back toward us (ACKs, read data): traced on the local node, journaled
+    /// on the remote node's Qp track.
+    fn wire_back(&self, rpc: u64, bytes: u64) -> Span {
+        self.inner
+            .remote
+            .obs()
+            .event(Subsystem::Qp, EventKind::WireSegment, rpc, NO_ID, bytes);
+        self.inner.local.obs().span(Phase::Wire)
     }
 
     fn check_mtu(&self, len: u64) -> RdmaResult<()> {
@@ -419,8 +414,7 @@ impl Qp {
         self.inner.local.process_message().await;
         // Read request: header-sized message.
         {
-            let _span = self.wire_span();
-            self.jot_local(EventKind::WireSegment, rpc, self.cfg().header_bytes + 16);
+            let _span = self.wire_out(rpc, self.cfg().header_bytes + 16);
             self.inner
                 .out_link
                 .transmit(self.cfg().header_bytes + 16)
@@ -430,8 +424,7 @@ impl Qp {
         self.inner.remote.process_message().await;
         let payload = self.inner.remote.dma_read(target, len, true).await?;
         {
-            let _span = self.wire_span();
-            self.jot_remote(EventKind::WireSegment, rpc, self.cfg().header_bytes + len);
+            let _span = self.wire_back(rpc, self.cfg().header_bytes + len);
             self.inner
                 .back_link
                 .transmit(self.cfg().header_bytes + len)
@@ -453,8 +446,7 @@ impl Qp {
         self.inner.local.process_message().await;
         // Read request: header-sized message.
         {
-            let _span = self.wire_span();
-            self.jot_local(EventKind::WireSegment, rpc, self.cfg().header_bytes + 16);
+            let _span = self.wire_out(rpc, self.cfg().header_bytes + 16);
             self.inner
                 .out_link
                 .transmit(self.cfg().header_bytes + 16)
@@ -464,8 +456,7 @@ impl Qp {
         self.inner.remote.process_message().await;
         let payload = self.inner.remote.dma_read(target, len, inline).await?;
         {
-            let _span = self.wire_span();
-            self.jot_remote(EventKind::WireSegment, rpc, self.cfg().header_bytes + len);
+            let _span = self.wire_back(rpc, self.cfg().header_bytes + len);
             self.inner
                 .back_link
                 .transmit(self.cfg().header_bytes + len)
@@ -484,16 +475,14 @@ impl Qp {
         self.inner.remote.check_up()?;
         self.inner.local.process_message().await;
         {
-            let _span = self.wire_span();
-            self.jot_local(EventKind::WireSegment, rpc, self.cfg().header_bytes);
+            let _span = self.wire_out(rpc, self.cfg().header_bytes);
             self.inner.out_link.transmit(self.cfg().header_bytes).await;
         }
         self.inner.remote.check_up()?;
         self.inner.remote.process_message().await;
         self.inner.remote.drain_posted_writes().await?;
         {
-            let _span = self.wire_span();
-            self.jot_remote(EventKind::WireSegment, rpc, self.cfg().ack_bytes);
+            let _span = self.wire_back(rpc, self.cfg().ack_bytes);
             self.inner.back_link.transmit(self.cfg().ack_bytes).await;
         }
         self.inner.local.process_message().await;
@@ -559,8 +548,7 @@ impl Qp {
         let len = payload.len();
         self.inner.local.process_message().await;
         {
-            let _span = self.wire_span();
-            self.jot_local(EventKind::WireSegment, rpc, self.cfg().header_bytes + len);
+            let _span = self.wire_out(rpc, self.cfg().header_bytes + len);
             self.inner
                 .out_link
                 .transmit(self.cfg().header_bytes + len)
@@ -576,11 +564,13 @@ impl Qp {
         if loss_rate > 0.0 && self.inner.handle.gen_f64() < loss_rate {
             match self.inner.mode {
                 QpMode::Rc => {
-                    let _span = self.wire_span();
+                    let obs = self.inner.local.obs();
+                    let _span = obs.span(Phase::Wire);
                     self.inner.local.note_retransmit();
                     let d = self.cfg().rc_retransmit_delay;
                     self.inner.handle.sleep(d).await;
-                    self.jot_local(EventKind::WireSegment, rpc, self.cfg().header_bytes + len);
+                    let bytes = self.cfg().header_bytes + len;
+                    obs.event(Subsystem::Qp, EventKind::WireSegment, rpc, NO_ID, bytes);
                     self.inner
                         .out_link
                         .transmit(self.cfg().header_bytes + len)
@@ -644,8 +634,7 @@ impl Qp {
         if self.inner.mode == QpMode::Rc && ack {
             // Hardware ACK generated at SRAM arrival (NOT persistence).
             {
-                let _span = self.wire_span();
-                self.jot_remote(EventKind::WireSegment, rpc, self.cfg().ack_bytes);
+                let _span = self.wire_back(rpc, self.cfg().ack_bytes);
                 self.inner.back_link.transmit(self.cfg().ack_bytes).await;
             }
             self.inner.local.process_message().await;

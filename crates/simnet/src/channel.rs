@@ -143,11 +143,6 @@ impl<T> Sender<T> {
         }
         Ok(())
     }
-
-    /// Number of queued, undelivered messages.
-    pub fn queued(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
 }
 
 impl<T> Receiver<T> {
@@ -190,11 +185,6 @@ impl<T> Receiver<T> {
     /// Non-blocking receive.
     pub fn try_recv(&mut self) -> Option<T> {
         self.state.borrow_mut().queue.pop_front()
-    }
-
-    /// Number of queued, undelivered messages.
-    pub fn queued(&self) -> usize {
-        self.state.borrow().queue.len()
     }
 }
 

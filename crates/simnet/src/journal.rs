@@ -23,8 +23,9 @@
 //!
 //! Emission is synchronous and consumes **zero simulated time and zero
 //! randomness**, so enabling the journal never perturbs a schedule: a
-//! fixed seed yields a byte-identical export. Components hold an
-//! `Option<Journal>`; when disabled nothing is allocated on the hot path.
+//! fixed seed yields a byte-identical export. Components emit through
+//! the node's [`Obs`](crate::Obs), which holds an `Option<Journal>`;
+//! when disabled nothing is allocated on the hot path.
 
 use crate::executor::SimHandle;
 use crate::stats::Histogram;
@@ -337,11 +338,6 @@ impl Journal {
                 ring: RefCell::new(VecDeque::new()),
             }),
         }
-    }
-
-    /// The node this journal belongs to.
-    pub fn node(&self) -> u32 {
-        self.inner.node
     }
 
     /// Emit one record at the current virtual time. Synchronous, no

@@ -23,6 +23,8 @@
 //! * [`Metrics`] — always-on per-node counters, gauges, and windowed
 //!   histograms with virtual-time snapshot ticks and deterministic JSONL
 //!   export (see [`metrics`]).
+//! * [`Obs`] — one node's tracer, journal and metrics behind one handle,
+//!   so each event is emitted with one call (see [`obs`]).
 //! * [`FaultPlan`] — deterministic schedules of crash / loss /
 //!   degradation events, scripted or seeded-stochastic (see [`fault`]).
 //!
@@ -54,6 +56,7 @@ mod executor;
 pub mod fault;
 pub mod journal;
 pub mod metrics;
+pub mod obs;
 mod resource;
 pub mod rng;
 mod stats;
@@ -70,6 +73,7 @@ pub use executor::{JoinHandle, Sim, SimHandle, Sleep, YieldNow};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use journal::{EventKind, Journal, Record, Subsystem};
 pub use metrics::{Key as MetricKey, Metrics, Snapshot as MetricsSnapshot};
+pub use obs::Obs;
 pub use resource::{FifoResource, SharedLink};
 pub use stats::{Histogram, Summary};
 pub use sync::{Acquire, Notified, Notify, SemPermit, Semaphore};

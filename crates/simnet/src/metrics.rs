@@ -232,16 +232,6 @@ impl Metrics {
         }
     }
 
-    /// The node id this registry belongs to.
-    pub fn node(&self) -> u32 {
-        self.inner.node
-    }
-
-    /// The snapshot interval.
-    pub fn interval(&self) -> SimDuration {
-        self.inner.interval
-    }
-
     /// Resolve a counter handle for hot-path bumping (registers the
     /// series; repeated calls for one key share the same counter).
     pub fn counter_handle(&self, key: Key) -> Counter {
@@ -329,11 +319,6 @@ impl Metrics {
             .borrow()
             .get(&key)
             .map_or(0, |c| c.get())
-    }
-
-    /// Current value of a gauge (0 if never set). Test/report hook.
-    pub fn gauge(&self, key: Key) -> i64 {
-        self.inner.gauges.borrow().get(&key).map_or(0, |c| c.get())
     }
 
     /// Capture a snapshot immediately (end-of-run final state).

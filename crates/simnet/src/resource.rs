@@ -149,24 +149,9 @@ impl SharedLink {
         self.slowdown.get()
     }
 
-    /// One-way propagation delay.
-    pub fn propagation(&self) -> SimDuration {
-        self.propagation
-    }
-
-    /// Configured bandwidth in Gbit/s.
-    pub fn gbps(&self) -> f64 {
-        self.gbps
-    }
-
     /// Total payload bytes moved.
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved.get()
-    }
-
-    /// Transfers waiting for the wire.
-    pub fn queue_len(&self) -> usize {
-        self.sem.waiters()
     }
 }
 

@@ -5,7 +5,8 @@
 //! media, receiver software, log persistence, and flush waits. This
 //! module provides the measurement layer for that breakdown: a [`Tracer`]
 //! per node into which components ([`crate::FifoResource`] users like the
-//! RNIC, the PM device, and the CPU model) open scoped [`Span`]s.
+//! RNIC, the PM device, and the CPU model) open scoped [`Span`]s through
+//! the node's [`Obs`](crate::Obs).
 //!
 //! Design constraints, in order:
 //!
@@ -27,7 +28,6 @@
 //!   misattributed.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -36,26 +36,6 @@ use std::task::{Context, Poll};
 use crate::executor::SimHandle;
 use crate::stats::{Histogram, Summary};
 use crate::time::{SimDuration, SimTime};
-
-pub mod counters {
-    //! Canonical [`Tracer`](super::Tracer) counter names.
-    //!
-    //! Counters are keyed by `&'static str`; centralizing the names here
-    //! means a typo'd name at a call site is a compile error instead of a
-    //! silently split counter.
-
-    /// DMA payload writes that landed in the LLC via DDIO (volatile).
-    pub const DDIO_DMA_WRITES: &str = "ddio_dma_writes";
-    /// DMA payload writes that went directly to their target (durable
-    /// when the target is PM).
-    pub const DIRECT_DMA_WRITES: &str = "direct_dma_writes";
-    /// Receive WQEs fetched over PCIe (send/recv verbs only).
-    pub const RECV_WQE_FETCHES: &str = "recv_wqe_fetches";
-    /// Completion-queue entries DMA'd to host memory.
-    pub const CQE_DMA_WRITES: &str = "cqe_dma_writes";
-    /// Explicit cache-line flushes executed against the PM device.
-    pub const CLFLUSH_CALLS: &str = "clflush_calls";
-}
 
 /// Where a traced duration belongs in the latency breakdown.
 ///
@@ -157,7 +137,6 @@ struct TracerInner {
     onpath_ns: [Cell<u64>; PHASES],
     /// Off-critical-path total per phase (nanoseconds).
     offpath_ns: [Cell<u64>; PHASES],
-    counters: RefCell<BTreeMap<&'static str, u64>>,
     open_spans: Cell<u64>,
     offpath_depth: Cell<u64>,
 }
@@ -178,7 +157,6 @@ impl Tracer {
                 hists: RefCell::new(std::array::from_fn(|_| Histogram::new())),
                 onpath_ns: std::array::from_fn(|_| Cell::new(0)),
                 offpath_ns: std::array::from_fn(|_| Cell::new(0)),
-                counters: RefCell::new(BTreeMap::new()),
                 open_spans: Cell::new(0),
                 offpath_depth: Cell::new(0),
             }),
@@ -188,11 +166,6 @@ impl Tracer {
     /// Assign this node's RPC role (done once, at system construction).
     pub fn set_role(&self, role: Role) {
         self.inner.role.set(role);
-    }
-
-    /// The node's current role.
-    pub fn role(&self) -> Role {
-        self.inner.role.get()
     }
 
     /// Open a span in `phase`, started at the current virtual time.
@@ -223,16 +196,6 @@ impl Tracer {
     /// Record an already-measured duration into `phase` directly.
     pub fn record(&self, phase: Phase, d: SimDuration) {
         self.commit(phase, d, self.inner.offpath_depth.get() > 0);
-    }
-
-    /// Increment counter `name` by `n`.
-    pub fn add(&self, name: &'static str, n: u64) {
-        *self.inner.counters.borrow_mut().entry(name).or_insert(0) += n;
-    }
-
-    /// Increment counter `name` by one.
-    pub fn incr(&self, name: &'static str) {
-        self.add(name, 1);
     }
 
     /// Enter an off-critical-path scope: spans opened while the guard is
@@ -278,11 +241,6 @@ impl Tracer {
         SimDuration::from_nanos(self.inner.offpath_ns[phase.index()].get())
     }
 
-    /// Current value of counter `name` (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.inner.counters.borrow().get(name).copied().unwrap_or(0)
-    }
-
     /// Snapshot this tracer's measurements.
     pub fn report(&self) -> TraceReport {
         let hists = self.inner.hists.borrow();
@@ -290,7 +248,6 @@ impl Tracer {
             hists: hists.clone(),
             onpath_ns: std::array::from_fn(|i| self.inner.onpath_ns[i].get()),
             offpath_ns: std::array::from_fn(|i| self.inner.offpath_ns[i].get()),
-            counters: self.inner.counters.borrow().clone(),
         }
     }
 
@@ -318,11 +275,6 @@ pub struct Span {
 }
 
 impl Span {
-    /// The phase this span records into.
-    pub fn phase(&self) -> Phase {
-        self.phase
-    }
-
     /// Close the span, recording `now - start`.
     pub fn end(mut self) {
         self.close();
@@ -381,9 +333,6 @@ pub struct TraceReport {
     hists: [Histogram; PHASES],
     onpath_ns: [u64; PHASES],
     offpath_ns: [u64; PHASES],
-    /// Counter names are the interned `&'static str`s from [`counters`],
-    /// so snapshotting and merging reports never clones a key.
-    counters: BTreeMap<&'static str, u64>,
 }
 
 impl Default for TraceReport {
@@ -392,7 +341,6 @@ impl Default for TraceReport {
             hists: std::array::from_fn(|_| Histogram::new()),
             onpath_ns: [0; PHASES],
             offpath_ns: [0; PHASES],
-            counters: BTreeMap::new(),
         }
     }
 }
@@ -410,9 +358,6 @@ impl TraceReport {
             self.onpath_ns[i] += other.onpath_ns[i];
             self.offpath_ns[i] += other.offpath_ns[i];
         }
-        for (&k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
     }
 
     /// Critical-path total for `phase`.
@@ -428,16 +373,6 @@ impl TraceReport {
     /// Per-span distribution summary for `phase`.
     pub fn summary(&self, phase: Phase) -> Summary {
         self.hists[phase.index()].summary()
-    }
-
-    /// Counter value (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
     }
 
     /// Sum of the exclusive phases' critical-path totals — the breakdown
@@ -593,22 +528,6 @@ mod tests {
         sim.run();
         assert_eq!(tracer.offpath_total(Phase::ReceiverSw).as_nanos(), 100);
         assert_eq!(tracer.total(Phase::ReceiverSw).as_nanos(), 50);
-    }
-
-    #[test]
-    fn counters_accumulate_and_merge() {
-        let sim = Sim::new(1);
-        let a = Tracer::new(sim.handle());
-        let b = Tracer::new(sim.handle());
-        a.incr(counters::DDIO_DMA_WRITES);
-        a.add(counters::DDIO_DMA_WRITES, 2);
-        b.incr(counters::DDIO_DMA_WRITES);
-        b.incr(counters::CLFLUSH_CALLS);
-        let mut r = a.report();
-        r.merge(&b.report());
-        assert_eq!(r.counter(counters::DDIO_DMA_WRITES), 4);
-        assert_eq!(r.counter(counters::CLFLUSH_CALLS), 1);
-        assert_eq!(r.counter("absent"), 0);
     }
 
     #[test]

@@ -211,48 +211,8 @@ pub async fn run_micro_split(
     }
 }
 
-/// Run `senders` concurrent clients against one server; returns the merged
-/// latency histogram and aggregate stats (paper Fig. 17).
-pub async fn run_micro_concurrent(
-    clients: Vec<Box<dyn RpcClient>>,
-    h: &SimHandle,
-    cfg: &MicroConfig,
-) -> RunResult {
-    let t0 = h.now();
-    let n = clients.len();
-    let mut joins = Vec::with_capacity(n);
-    for (i, client) in clients.into_iter().enumerate() {
-        let cfg = MicroConfig {
-            seed: cfg.seed.wrapping_add(i as u64 * 7919),
-            ..cfg.clone()
-        };
-        let h2 = h.clone();
-        joins.push(h.spawn(async move {
-            let r = run_micro(client.as_ref(), &h2, &cfg).await;
-            (r.ops, r.unsupported, r.failed, r.latency)
-        }));
-    }
-    let mut hist = Histogram::new();
-    let mut ops = 0;
-    let mut unsupported = 0;
-    let mut failed = 0;
-    for j in joins {
-        let (o, u, f, s) = j.await;
-        ops += o;
-        unsupported += u;
-        failed += f;
-        // Rebuild an approximate merged histogram from summaries is lossy;
-        // instead we re-record the mean per client weighted by count.
-        // For exact percentiles across clients use `run_micro_merged`.
-        for _ in 0..o {
-            hist.record(s.mean_ns as u64);
-        }
-    }
-    RunResult::from_histogram(ops, unsupported, failed, h.now() - t0, &hist)
-}
-
-/// Like [`run_micro_concurrent`] but collects every sample exactly, via a
-/// shared histogram.
+/// Run concurrent clients against one server (paper Fig. 17), each on
+/// its own seed, collecting every sample exactly in one shared histogram.
 pub async fn run_micro_merged(
     clients: Vec<Box<dyn RpcClient>>,
     h: &SimHandle,

@@ -36,18 +36,6 @@ impl YcsbWorkload {
         YcsbWorkload::E,
         YcsbWorkload::F,
     ];
-
-    /// Letter label.
-    pub fn label(self) -> &'static str {
-        match self {
-            YcsbWorkload::A => "A",
-            YcsbWorkload::B => "B",
-            YcsbWorkload::C => "C",
-            YcsbWorkload::D => "D",
-            YcsbWorkload::E => "E",
-            YcsbWorkload::F => "F",
-        }
-    }
 }
 
 /// YCSB driver parameters (defaults follow the paper).

@@ -551,7 +551,7 @@ type TracePin = (u64, [PhasePin; 7], (u64, u64));
 /// The [`pinned_whole_stack_fingerprints`] run with the journal off,
 /// read back through the tracer instead of the journal.
 fn trace_totals_run(kind: SystemKind) -> TracePin {
-    use prdma_suite::simnet::trace::{counters, Phase};
+    use prdma_suite::simnet::trace::Phase;
     let seed = 20211114;
     let mut sim = Sim::new(seed);
     let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(2));
@@ -575,10 +575,11 @@ fn trace_totals_run(kind: SystemKind) -> TracePin {
             report.summary(p).count,
         )
     });
-    let nic_counts = (
-        report.counter(counters::RECV_WQE_FETCHES),
-        report.counter(counters::CQE_DMA_WRITES),
-    );
+    let nic_counts = (0..cluster.len())
+        .map(|i| cluster.node(i).rnic())
+        .fold((0, 0), |(w, c), n| {
+            (w + n.recv_wqe_fetches(), c + n.cqe_dma_writes())
+        });
     (sim.events_processed(), phases, nic_counts)
 }
 

@@ -69,8 +69,8 @@ fn auditor_passes_on_every_system() {
 
 /// With journaling disabled (the default), no node carries a journal,
 /// the merged record stream is empty, and the auditor trivially passes —
-/// the emission call sites all gate on `Option<&Journal>`, so the hot
-/// path allocates nothing.
+/// every emission goes through the node's `Obs`, whose `event` does
+/// nothing without a journal, so the hot path allocates nothing.
 #[test]
 fn disabled_journal_records_nothing() {
     let (cluster, ops) = smoke_run(SystemKind::WFlush, false);

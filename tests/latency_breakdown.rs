@@ -15,7 +15,7 @@
 use prdma::ServerProfile;
 use prdma_baselines::SystemKind;
 use prdma_bench::runner::{ycsb_run, EnvResult, ExpEnv};
-use prdma_simnet::trace::{counters, Phase};
+use prdma_simnet::trace::Phase;
 use prdma_workloads::ycsb::{YcsbConfig, YcsbWorkload};
 
 /// The YCSB-A micro setup Fig. 20 is measured on: 2 nodes, light server,
@@ -76,7 +76,7 @@ fn darpc_hardware_rtt_is_at_least_1_5x_farm() {
     );
     // The extra RTT must come from the two-sided hardware path: recv-WQE
     // fetches and CQE delivery DMA that one-sided writes never pay.
-    assert!(darpc.trace.counter(counters::RECV_WQE_FETCHES) > 0);
-    assert!(darpc.trace.counter(counters::CQE_DMA_WRITES) > 0);
-    assert_eq!(farm.trace.counter(counters::RECV_WQE_FETCHES), 0);
+    assert!(darpc.recv_wqe_fetches > 0);
+    assert!(darpc.cqe_dma_writes > 0);
+    assert_eq!(farm.recv_wqe_fetches, 0);
 }
