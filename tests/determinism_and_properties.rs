@@ -664,3 +664,218 @@ fn pinned_trace_totals() {
         );
     }
 }
+
+/// The sharded topologies [`pinned_fleet_fingerprints`] pins.
+#[derive(Debug, Clone, Copy)]
+enum Fleet {
+    Sharded,
+    ShardedCachedMirror,
+    Replicated,
+    ReplicatedCached,
+    Txn,
+}
+
+/// A fleet's fingerprint: `(events_processed, end_ns, journal_len,
+/// journal_fnv, replayed)`.
+type FleetPin = (u64, u64, usize, u64, usize);
+
+/// One journaled run of `fleet` on two shards (server nodes 0 and 1) and
+/// two client nodes, with a `NodeCrash` of server node 0 landing
+/// mid-stream and recovery wired into the fault injector. Every put (or
+/// transaction) must succeed; the auditor must pass. `replayed` is the
+/// fleet handle's replay count, or for transactions the node-0
+/// `log_replayed` counter.
+fn fleet_run(fleet: Fleet) -> FleetPin {
+    use prdma_suite::core::txn::build_sharded_txn;
+    use prdma_suite::core::{
+        build_replicated_sharded, build_replicated_sharded_cached, build_sharded_durable,
+        build_sharded_durable_cached, CacheConfig, RetryPolicy, ShardMap, ShardedClient,
+    };
+    use prdma_suite::simnet::fault::{FaultKind, FaultPlan};
+    use prdma_suite::simnet::metrics::Key;
+    use prdma_suite::simnet::{SimDuration, SimTime};
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    const OPS: u64 = 12;
+    let mut sim = Sim::new(20211114 ^ fleet as u64);
+    let mut ccfg = ClusterConfig::with_servers(2, 2);
+    ccfg.journal = true;
+    let cluster = Cluster::new(sim.handle(), ccfg);
+    let cfg = DurableConfig {
+        profile: ServerProfile::heavy(),
+        slot_payload: 1024,
+        object_slot: 1024,
+        store_capacity: 1 << 20,
+        log_slots: 64,
+        retry: RetryPolicy {
+            request_timeout: SimDuration::from_micros(300),
+            max_retries: 200,
+            backoff: SimDuration::from_micros(100),
+            backoff_cap: SimDuration::from_micros(100),
+            jitter_pct: 0,
+        },
+        ..DurableConfig::for_kind(DurableKind::WFlush)
+    };
+    let map = ShardMap::new(2);
+    let clients = [2, 3];
+    let cache = CacheConfig {
+        hot_threshold: 1,
+        mirror_threshold: 2,
+        mirror: true,
+        mirror_slots: 16,
+        mirror_value_bytes: 1024,
+        ..Default::default()
+    };
+    let plan = FaultPlan::new().at(
+        SimTime::from_nanos(40_000),
+        0,
+        FaultKind::NodeCrash {
+            down_for: SimDuration::from_micros(500),
+        },
+    );
+    let inj = cluster.inject_faults(plan);
+    let h = sim.handle();
+
+    // Client `c` puts objects `c, c + 2, ...` (both shards), then reads
+    // each back twice, pacing 20 µs between ops.
+    let drive = |routers: Vec<ShardedClient>| {
+        let h = h.clone();
+        async move {
+            let mut joins = Vec::new();
+            for (c, router) in routers.into_iter().enumerate() {
+                let h2 = h.clone();
+                joins.push(h.spawn(async move {
+                    for i in 0..OPS {
+                        let obj = c as u64 + 2 * i;
+                        let data = Payload::synthetic(256, obj);
+                        let r = router.call(Request::Put { obj, data }).await;
+                        assert!(r.expect("put rides out the crash").durable);
+                        h2.sleep(SimDuration::from_micros(20)).await;
+                    }
+                    for i in 0..2 * OPS {
+                        let obj = c as u64 + 2 * (i % OPS);
+                        router
+                            .call(Request::Get { obj, len: 256 })
+                            .await
+                            .expect("get rides out the crash");
+                        h2.sleep(SimDuration::from_micros(20)).await;
+                    }
+                }));
+            }
+            for j in joins {
+                j.await;
+            }
+            h.sleep(SimDuration::from_millis(5)).await;
+        }
+    };
+
+    let replayed = match fleet {
+        Fleet::Sharded | Fleet::ShardedCachedMirror => {
+            let svc = if matches!(fleet, Fleet::Sharded) {
+                build_sharded_durable(&cluster, map, &clients, &cfg)
+            } else {
+                build_sharded_durable_cached(&cluster, map, &clients, &cfg, &cache).0
+            };
+            let replayed = Rc::new(Cell::new(0usize));
+            {
+                let replayed = Rc::clone(&replayed);
+                let shard0: Vec<_> = svc.servers[0].clone();
+                inj.on_recovery(move |node, k| {
+                    if node == 0 && matches!(k, FaultKind::NodeCrash { .. }) {
+                        replayed.set(shard0.iter().map(|s| s.recover_and_requeue().len()).sum());
+                    }
+                });
+            }
+            sim.block_on(drive(svc.clients));
+            replayed.get()
+        }
+        Fleet::Replicated | Fleet::ReplicatedCached => {
+            let mut svc = if matches!(fleet, Fleet::Replicated) {
+                build_replicated_sharded(&cluster, map, &clients, 2, &cfg)
+            } else {
+                build_replicated_sharded_cached(&cluster, map, &clients, 2, &cfg, &cache).0
+            };
+            svc.wire_failover(&inj);
+            sim.block_on(drive(std::mem::take(&mut svc.clients)));
+            svc.replayed()
+        }
+        Fleet::Txn => {
+            let mut svc = build_sharded_txn(&cluster, map, &clients, &cfg);
+            svc.wire_recovery(&inj);
+            let txns: Vec<_> = std::mem::take(&mut svc.clients);
+            sim.block_on({
+                let h = h.clone();
+                async move {
+                    let mut joins = Vec::new();
+                    for (c, client) in txns.into_iter().enumerate() {
+                        let h2 = h.clone();
+                        joins.push(h.spawn(async move {
+                            for i in 0..OPS {
+                                let mut t = client.begin();
+                                let obj = 4 * i + 2 * c as u64;
+                                t.put(obj, &Payload::synthetic(64, obj));
+                                t.put(obj + 1, &Payload::synthetic(64, obj + 1));
+                                let _ = client.commit(t).await;
+                                h2.sleep(SimDuration::from_micros(20)).await;
+                            }
+                        }));
+                    }
+                    for j in joins {
+                        j.await;
+                    }
+                    h.sleep(SimDuration::from_millis(5)).await;
+                }
+            });
+            let m = cluster.node(0).metrics().expect("metrics are on");
+            m.counter(Key::new("log_replayed")) as usize
+        }
+    };
+    assert_eq!(inj.stats().node_crashes, 1, "{fleet:?}");
+    cluster.audit_journal().assert_ok();
+    let jsonl = journal::to_jsonl(&cluster.journal_records());
+    (
+        sim.events_processed(),
+        sim.now().as_nanos(),
+        jsonl.len(),
+        fnv1a(jsonl.as_bytes()),
+        replayed,
+    )
+}
+
+/// Pinned sharded fleets: every sharded topology (plain, cached with the
+/// mirror tier, replicated, replicated and cached, transactional) under
+/// one mid-stream `NodeCrash` of server node 0, fingerprinted by events,
+/// end virtual time, journal bytes and the replayed count (see
+/// [`fleet_run`]). Refactors of the fleet builders and their recovery
+/// wiring must keep these byte-identical.
+#[test]
+fn pinned_fleet_fingerprints() {
+    let pinned: [(Fleet, FleetPin); 5] = [
+        (
+            Fleet::Sharded,
+            (2232, 8752686, 130790, 0xd97eaa5281495977, 2),
+        ),
+        (
+            Fleet::ShardedCachedMirror,
+            (1557, 7511802, 99127, 0x0d664edba9116533, 2),
+        ),
+        (
+            Fleet::Replicated,
+            (3085, 8265541, 197859, 0x666efdd408b722f7, 4),
+        ),
+        (
+            Fleet::ReplicatedCached,
+            (2411, 7024657, 169089, 0x15926590a2172bbe, 4),
+        ),
+        (Fleet::Txn, (3822, 5835935, 272800, 0xd069050c1c512020, 12)),
+    ];
+    for (fleet, want) in pinned {
+        assert_eq!(
+            fleet_run(fleet),
+            want,
+            "{fleet:?}: fleet fingerprint drifted \
+             (events, end_ns, journal_len, journal_fnv, replayed)"
+        );
+    }
+}
