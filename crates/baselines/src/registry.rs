@@ -184,7 +184,6 @@ pub fn build_system(
             throttle_threshold: opts.throttle_threshold,
             throttle_backoff: SimDuration::from_micros(20),
             head_persist_interval: 16,
-            retry: Default::default(),
             ..Default::default()
         };
         let (client, server) = build_durable(cluster, client_idx, server_idx, lane, cfg);

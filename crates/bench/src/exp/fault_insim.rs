@@ -96,18 +96,8 @@ fn run_scheme(
     let injector = plan.map(|p| {
         let inj = cluster.inject_faults(p);
         if let Some(server) = server_opt.take() {
-            inj.on_recovery(move |_, kind| match kind {
-                // Full crash: volatile state is gone; rewind to the
-                // persisted head and replay everything after it.
-                FaultKind::NodeCrash { .. } => {
-                    server.recover_and_requeue();
-                }
-                // Service crash: PM and DRAM survive; scan for logged
-                // entries the dead worker pool never marked done.
-                FaultKind::ServiceCrash { .. } => {
-                    server.recover_service_and_requeue();
-                }
-                _ => {}
+            inj.on_recovery(move |_, kind| {
+                server.recover(&kind);
             });
         }
         inj
@@ -406,14 +396,8 @@ fn run_replicated_scheme(
         let (c, s) = build_durable(&cluster, 2, 0, 0, cfg);
         s.start();
         if let Some(inj) = &injector {
-            inj.on_recovery(move |_, k| match k {
-                FaultKind::NodeCrash { .. } => {
-                    s.recover_and_requeue();
-                }
-                FaultKind::ServiceCrash { .. } => {
-                    s.recover_service_and_requeue();
-                }
-                _ => {}
+            inj.on_recovery(move |_, k| {
+                s.recover(&k);
             });
         }
         Box::new(c)

@@ -25,6 +25,7 @@ use std::rc::Rc;
 
 use prdma_node::{Cluster, Node};
 use prdma_rnic::{MemTarget, Payload, Qp, QpMode};
+use prdma_simnet::fault::FaultKind;
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
 use prdma_simnet::metrics::{Counter, Gauge, Key, Window};
 use prdma_simnet::rng::SmallRng;
@@ -35,9 +36,8 @@ use prdma_simnet::{
 
 use crate::flush::{FlushImpl, FlushOps};
 use crate::log::{
-    entry_data_part, entry_index_from_image, Appended, LogCursor, LogEntry, LogLayout, OpCode,
-    RedoLog, RemoteLogWriter, RpcOperator, ENTRY_FOOTER, ENTRY_HEADER, LOG_HEADER_BYTES,
-    REPL_ID_BYTES,
+    entry_data_part, entry_index_from_image, Appended, LogCursor, LogLayout, OpCode, RedoLog,
+    RemoteLogWriter, RpcOperator, ENTRY_FOOTER, ENTRY_HEADER, LOG_HEADER_BYTES, REPL_ID_BYTES,
 };
 use crate::rpc::{
     Request, Response, RetryPolicy, RpcClient, RpcError, RpcFuture, RpcResult, ServerProfile,
@@ -104,11 +104,6 @@ pub struct DurableConfig {
     pub object_slot: u64,
     /// Object-store region size in PM.
     pub store_capacity: u64,
-    /// PM region name for the object store. Connections sharing a name
-    /// on one node share the store; replicated shard groups give each
-    /// group a distinct name so a node hosting shard k's primary and
-    /// shard k−1's backup keeps their object spaces apart.
-    pub store_region: String,
     /// Flow control: throttle when this many entries are outstanding.
     pub throttle_threshold: u64,
     /// Flow control: how long the sender backs off.
@@ -125,17 +120,6 @@ pub struct DurableConfig {
     /// out packet loss and server crashes. The defaults never fire on a
     /// healthy run.
     pub retry: RetryPolicy,
-    /// Shard lease table for the hot-key cache: when set, every put
-    /// bumps its key's lease epoch *before* the flush wait, revoking
-    /// outstanding cached reads ahead of the durability ACK (auditor
-    /// invariant I5). `None` (the default) leaves the put path — and
-    /// every pinned journal fingerprint — untouched.
-    pub lease: Option<crate::cache::LeaseState>,
-    /// Shard transaction table for durable 2PC: when set, the server
-    /// processes `TxnPrepare`/`TxnDecide`/`TxnCommit`/`TxnAbort` log
-    /// entries against it (staging, in-doubt resolution, apply). `None`
-    /// (the default) leaves the single-RPC paths untouched.
-    pub txn: Option<crate::txn::TxnState>,
 }
 
 impl Default for DurableConfig {
@@ -148,13 +132,10 @@ impl Default for DurableConfig {
             slot_payload: 64 * 1024,
             object_slot: 64 * 1024,
             store_capacity: 32 * 1024 * 1024,
-            store_region: "objects".to_string(),
             throttle_threshold: 128,
             throttle_backoff: SimDuration::from_micros(20),
             head_persist_interval: 16,
             retry: RetryPolicy::default(),
-            lease: None,
-            txn: None,
         }
     }
 }
@@ -167,6 +148,22 @@ impl DurableConfig {
             ..Default::default()
         }
     }
+}
+
+/// Per-shard state only the fleet builders wire into a connection.
+#[derive(Clone, Default)]
+pub(crate) struct Wiring {
+    /// Object-store PM region (`"objects"` when `None`). Connections
+    /// sharing a name on one node share the store; replicated shard
+    /// groups each get their own, so co-hosted groups stay apart.
+    pub(crate) store_region: Option<String>,
+    /// Shard lease table: every put bumps its key's lease epoch *before*
+    /// the flush wait, revoking cached reads ahead of the durability ACK
+    /// (auditor invariant I5).
+    pub(crate) lease: Option<crate::cache::LeaseState>,
+    /// Shard transaction table for durable 2PC: the server processes
+    /// `TxnPrepare`/`TxnDecide`/`TxnCommit`/`TxnAbort` entries against it.
+    pub(crate) txn: Option<crate::txn::TxnState>,
 }
 
 /// Work items flowing from arrival paths to the worker pool.
@@ -217,9 +214,9 @@ struct Shared {
     puts_deduped: Cell<u64>,
     /// Next log index the send-based recv ring will arm a WQE for.
     /// Shared so node-crash recovery can flush and re-arm the ring from
-    /// the recovered tail (see `recover_and_requeue`).
+    /// the recovered tail (see [`DurableServer::recover`]).
     next_recv_index: Cell<u64>,
-    /// Shard transaction table (see [`DurableConfig::txn`]).
+    /// Shard transaction table (see `Wiring::txn`).
     txn: Option<crate::txn::TxnState>,
     /// Pre-resolved server-node metric handles (None when metrics off).
     m_puts_logged: Option<Counter>,
@@ -237,8 +234,8 @@ pub struct DurableClient {
     client_node: Node,
     lane: usize,
     retry: RetryPolicy,
-    /// Shard lease table (see [`DurableConfig::lease`]); bumped on the
-    /// put path before the flush wait when present.
+    /// Shard lease table (see `Wiring::lease`); bumped on the put path
+    /// before the flush wait when present.
     lease: Option<crate::cache::LeaseState>,
     /// Per-connection jitter stream for retry backoff: seeded from the
     /// connection identity, advanced only when a retry actually sleeps —
@@ -313,6 +310,27 @@ pub fn build_durable(
     lane: usize,
     cfg: DurableConfig,
 ) -> (DurableClient, DurableServer) {
+    connect(
+        cluster,
+        client_idx,
+        server_idx,
+        lane,
+        &cfg,
+        Wiring::default(),
+    )
+}
+
+/// The one per-connection step of every builder: [`build_durable`] plus
+/// the per-shard `wiring` only fleet builders set. The server is not
+/// started.
+pub(crate) fn connect(
+    cluster: &Cluster,
+    client_idx: usize,
+    server_idx: usize,
+    lane: usize,
+    cfg: &DurableConfig,
+    wiring: Wiring,
+) -> (DurableClient, DurableServer) {
     let server = cluster.node(server_idx).clone();
     let client = cluster.node(client_idx).clone();
     // Latency breakdown: software time on the client node is sender-side,
@@ -333,12 +351,13 @@ pub fn build_durable(
     let layout = LogLayout::new(log_region, slot_size);
 
     // Object store: shared across lanes (per region name).
-    let store_region = match server.alloc.lookup(&cfg.store_region) {
+    let region_name = wiring.store_region.as_deref().unwrap_or("objects");
+    let store_region = match server.alloc.lookup(region_name) {
         Some(r) => r,
         None => server
             .alloc
             .alloc(
-                &cfg.store_region,
+                region_name,
                 cfg.store_capacity.min(server.alloc.remaining()),
                 64,
             )
@@ -405,7 +424,7 @@ pub fn build_durable(
         puts_processed: Cell::new(0),
         puts_deduped: Cell::new(0),
         next_recv_index: Cell::new(0),
-        txn: cfg.txn.clone(),
+        txn: wiring.txn,
         m_puts_logged: server
             .metrics()
             .map(|m| m.counter_handle(Key::new("puts_logged"))),
@@ -442,7 +461,7 @@ pub fn build_durable(
         client_node: client,
         lane,
         retry: cfg.retry,
-        lease: cfg.lease,
+        lease: wiring.lease,
         ack_pool: OneshotPool::new(),
         reply_pool: OneshotPool::new(),
         next_batch_id: Cell::new(0),
@@ -454,7 +473,7 @@ pub fn build_durable(
             store,
             resp_qp,
             shared,
-            profile: cfg.profile,
+            profile: cfg.profile.clone(),
         }),
         log_qp_server,
         get_qp_server,
@@ -590,62 +609,64 @@ impl DurableServer {
         });
     }
 
-    /// Crash recovery: scan the log for incomplete entries and re-enqueue
-    /// them for processing (no client re-transmission — the paper's
-    /// headline recovery property). Returns what was recovered.
-    pub fn recover_and_requeue(&self) -> Vec<LogEntry> {
-        let core = &self.core;
-        let pending = core.log.recover();
-        core.shared.puts_logged.set(core.log.cursor().tail());
-        if let Some(m) = core.node.metrics() {
-            m.incr(Key::new("log_replayed"), pending.len() as u64);
-        }
-        if core.shared.kind.is_send_based() {
-            // Re-arm the recv ring. A send in flight at the crash
-            // consumed a recv WQE that can never complete (the NIC that
-            // would have written its CQE lost power), so the surviving
-            // pre-posted ring is offset from the recovered log tail:
-            // every later entry would DMA into the wrong slot and be
-            // dropped as invalid, wedging the connection for good.
-            // Flush the ring — QP-error semantics — and re-post a full
-            // window starting at the slot the client will append next.
-            let layout = *core.log.layout();
-            let window = (layout.slots / 2).max(1);
-            let tail = core.log.cursor().tail();
-            self.log_qp_server.flush_recvs();
-            for i in tail..tail + window {
-                self.log_qp_server
-                    .post_recv(MemTarget::Pm(layout.slot_addr(i)));
-            }
-            core.shared.next_recv_index.set(tail + window);
-        }
-        self.requeue(&pending);
-        pending
-    }
-
-    /// Service-restart recovery: replay the un-done log suffix *without*
-    /// rewinding cursors. A service-only crash preserves the NIC, PM, and
-    /// the shared cursor, and clients keep appending one-sided entries
-    /// while the service is away, so a [`recover_and_requeue`]-style tail
-    /// rewind would reissue indices the client already used. Entries a
-    /// queued arrival also delivers are applied once: the processing path
-    /// skips already-done entries. Returns the number re-enqueued.
+    /// Recover from `fault` at its restart point and return the number of
+    /// log entries re-enqueued for processing — with no client
+    /// re-transmission, the paper's headline recovery property. This is
+    /// the one call every recovery hook makes:
     ///
-    /// [`recover_and_requeue`]: DurableServer::recover_and_requeue
-    pub fn recover_service_and_requeue(&self) -> usize {
-        let pending = self.core.log.scan_pending();
-        self.requeue(&pending);
-        pending.len()
-    }
-
-    /// Hand recovered entries to the worker pool in log order.
-    fn requeue(&self, pending: &[LogEntry]) {
-        for e in pending {
-            let _ = self.core.shared.work_tx.send(Work::Entry {
+    /// - `NodeCrash`: the volatile done-flags and cursors are gone, so
+    ///   rewind to the persisted head and replay every incomplete entry
+    ///   after it (send-based kinds also re-arm the recv ring).
+    /// - `ServiceCrash`: replay the un-done log suffix *without*
+    ///   rewinding cursors. A service-only crash preserves the NIC, PM
+    ///   and the shared cursor, and clients keep appending one-sided
+    ///   entries while the service is away, so a tail rewind would
+    ///   reissue indices the client already used. Entries a queued
+    ///   arrival also delivers are applied once: the processing path
+    ///   skips already-done entries.
+    /// - any other fault leaves the log alone and returns 0.
+    pub fn recover(&self, fault: &FaultKind) -> usize {
+        let core = &self.core;
+        let pending = match fault {
+            FaultKind::NodeCrash { .. } => {
+                let pending = core.log.recover();
+                core.shared.puts_logged.set(core.log.cursor().tail());
+                if let Some(m) = core.node.metrics() {
+                    m.incr(Key::new("log_replayed"), pending.len() as u64);
+                }
+                if core.shared.kind.is_send_based() {
+                    // Re-arm the recv ring. A send in flight at the crash
+                    // consumed a recv WQE that can never complete (the NIC
+                    // that would have written its CQE lost power), so the
+                    // surviving pre-posted ring is offset from the
+                    // recovered log tail: every later entry would DMA into
+                    // the wrong slot and be dropped as invalid, wedging the
+                    // connection for good. Flush the ring — QP-error
+                    // semantics — and re-post a full window starting at
+                    // the slot the client will append next.
+                    let layout = *core.log.layout();
+                    let window = (layout.slots / 2).max(1);
+                    let tail = core.log.cursor().tail();
+                    self.log_qp_server.flush_recvs();
+                    for i in tail..tail + window {
+                        self.log_qp_server
+                            .post_recv(MemTarget::Pm(layout.slot_addr(i)));
+                    }
+                    core.shared.next_recv_index.set(tail + window);
+                }
+                pending
+            }
+            FaultKind::ServiceCrash { .. } => core.log.scan_pending(),
+            _ => return 0,
+        };
+        // Hand the recovered entries to the worker pool in log order.
+        for e in &pending {
+            let _ = core.shared.work_tx.send(Work::Entry {
                 index: e.index,
                 data: Payload::from_bytes(e.payload.clone()),
             });
         }
+        pending.len()
     }
 }
 
@@ -1363,6 +1384,67 @@ mod tests {
                 "{kind:?} must finish eventually"
             );
         }
+    }
+
+    /// `recover` dispatches on the fault: a node crash replays the
+    /// incomplete suffix, a service crash requeues it with the cursors
+    /// untouched, and every other fault leaves the log alone.
+    #[test]
+    fn recover_dispatches_on_the_fault_kind() {
+        let mut sim = Sim::new(13);
+        let mut ccfg = ClusterConfig::with_nodes(2);
+        ccfg.journal = true;
+        let cluster = Cluster::new(sim.handle(), ccfg);
+        let cfg = DurableConfig {
+            // 100 µs dispatch: every put is still unprocessed below.
+            profile: ServerProfile::heavy(),
+            slot_payload: 4096,
+            object_slot: 4096,
+            store_capacity: 1 << 20,
+            log_slots: 64,
+            ..Default::default()
+        };
+        let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
+        server.start();
+        sim.block_on(async move {
+            for obj in 0..3 {
+                let data = Payload::synthetic(256, obj);
+                client.call(Request::Put { obj, data }).await.unwrap();
+            }
+        });
+        let brief = SimDuration::from_micros(1);
+        for fault in [
+            FaultKind::SramLoss,
+            FaultKind::LossBurst {
+                rate: 0.5,
+                duration: brief,
+            },
+            FaultKind::LinkDegrade {
+                factor: 2.0,
+                duration: brief,
+            },
+        ] {
+            let journaled = cluster.journal_records().len();
+            assert_eq!(server.recover(&fault), 0, "{}", fault.name());
+            assert_eq!(
+                cluster.journal_records().len(),
+                journaled,
+                "{} must journal nothing",
+                fault.name()
+            );
+        }
+        let node = cluster.node(0);
+        let cursor = server.log().cursor();
+        node.crash_service();
+        node.restart_service();
+        let (head, tail) = (cursor.head(), cursor.tail());
+        let service = FaultKind::ServiceCrash { down_for: brief };
+        assert_eq!(server.recover(&service), 3);
+        assert_eq!((cursor.head(), cursor.tail()), (head, tail));
+        node.crash();
+        node.restart();
+        let crash = FaultKind::NodeCrash { down_for: brief };
+        assert!(server.recover(&crash) > 0, "node crash replays the suffix");
     }
 
     #[test]

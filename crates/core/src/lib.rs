@@ -78,8 +78,8 @@ pub use rpc::{
 };
 pub use shard::{
     build_replicated_sharded, build_replicated_sharded_cached, build_sharded_durable,
-    build_sharded_durable_cached, ReplicatedSharded, ShardBatchOutcome, ShardFailure, ShardMap,
-    ShardPolicy, ShardedClient, ShardedDurable,
+    build_sharded_durable_cached, ShardBatchOutcome, ShardFailure, ShardMap, ShardPolicy,
+    ShardedClient, ShardedDurable,
 };
 pub use span::{build_span_trees, tail_report, Attribution, Span, SpanTree, TailEntry, TailReport};
 pub use store::{MirrorRegion, ObjectStore};

@@ -39,7 +39,7 @@ use prdma_simnet::metrics::Key;
 use prdma_simnet::rng::SmallRng;
 use prdma_simnet::SimHandle;
 
-use crate::durable::{build_durable, DurableClient, DurableConfig, DurableKind, DurableServer};
+use crate::durable::{connect, DurableClient, DurableConfig, DurableKind, DurableServer, Wiring};
 use crate::log::REPL_ID_BYTES;
 use crate::rpc::{Request, Response, RetryPolicy, RpcClient, RpcError, RpcFuture, RpcResult};
 
@@ -241,19 +241,16 @@ pub fn build_replicated(
         &cfg,
         0,
         client_idx as u64,
-        None,
-        None,
+        Wiring::default(),
     )
 }
 
 /// Group builder shared with the sharded topology: `lane_base` offsets
 /// the per-replica connection lanes, `group_tag` namespaces the causal
-/// put ids, `store_region` (when given) overrides the object-store
-/// PM region name so co-hosted groups keep their object spaces apart,
-/// and `lease` (when given) wires the shard's lease table into every
-/// replica's put path so durable puts revoke client caches before their
-/// flush ACK.
-#[allow(clippy::too_many_arguments)]
+/// put ids, and `wiring` goes to every replica's connection (a sharded
+/// group's own object-store region, so co-hosted groups keep their
+/// object spaces apart, and its shard's lease table, so durable puts
+/// revoke client caches before their flush ACK).
 pub(crate) fn build_replicated_group(
     cluster: &Cluster,
     client_idx: usize,
@@ -261,12 +258,10 @@ pub(crate) fn build_replicated_group(
     cfg: &DurableConfig,
     lane_base: usize,
     group_tag: u64,
-    store_region: Option<String>,
-    lease: Option<crate::cache::LeaseState>,
+    wiring: Wiring,
 ) -> (ReplicatedClient, ReplicaGroup) {
     assert!(!server_idxs.is_empty(), "need at least one replica");
     let mut sub_cfg = cfg.clone();
-    sub_cfg.lease = lease;
     // Make room for the causal put id prefixed to every RPut payload.
     sub_cfg.slot_payload = cfg.slot_payload + REPL_ID_BYTES;
     // Probe policy: one quick retry per round; the ReplicatedClient's
@@ -276,13 +271,17 @@ pub(crate) fn build_replicated_group(
         max_retries: 1,
         ..cfg.retry
     };
-    if let Some(region) = store_region {
-        sub_cfg.store_region = region;
-    }
     let mut replicas = Vec::with_capacity(server_idxs.len());
     let mut servers = Vec::with_capacity(server_idxs.len());
     for (slot, &s) in server_idxs.iter().enumerate() {
-        let (c, srv) = build_durable(cluster, client_idx, s, lane_base + slot, sub_cfg.clone());
+        let (c, srv) = connect(
+            cluster,
+            client_idx,
+            s,
+            lane_base + slot,
+            &sub_cfg,
+            wiring.clone(),
+        );
         srv.start();
         replicas.push(Rc::new(c));
         servers.push(Rc::new(srv));
@@ -332,11 +331,11 @@ impl ReplicaGroup {
     ///   `ServiceCrash` marks its slot down; if it was the primary, the
     ///   next live backup is promoted immediately — traffic fails over
     ///   with near-zero downtime instead of waiting for replay;
-    /// - **at restart** (`on_recovery`): the member's redo log is
-    ///   replayed (`recover_and_requeue` after a node crash,
-    ///   `recover_service_and_requeue` after a service crash), the slot
-    ///   rejoins as a backup, and the puts it missed while down are
-    ///   re-sent in the background under their original causal ids.
+    /// - **at restart** (`on_recovery`, after a node or service crash):
+    ///   the member's redo log is replayed through
+    ///   [`DurableServer::recover`], the slot rejoins as a backup, and
+    ///   the puts it missed while down are re-sent in the background
+    ///   under their original causal ids.
     pub fn wire_failover(&self, inj: &FaultInjector) {
         {
             let state = Rc::clone(&self.state);
@@ -354,19 +353,18 @@ impl ReplicaGroup {
         let replayed = Rc::clone(&self.replayed);
         let h = self.handle.clone();
         inj.on_recovery(move |node, kind| {
+            // Only a crash took the member down; other faults never rejoin.
+            if !matches!(
+                kind,
+                FaultKind::NodeCrash { .. } | FaultKind::ServiceCrash { .. }
+            ) {
+                return;
+            }
             for (slot, &n) in state.nodes.iter().enumerate() {
                 if n != node {
                     continue;
                 }
-                match kind {
-                    FaultKind::NodeCrash { .. } => {
-                        replayed.set(replayed.get() + servers[slot].recover_and_requeue().len());
-                    }
-                    FaultKind::ServiceCrash { .. } => {
-                        servers[slot].recover_service_and_requeue();
-                    }
-                    _ => continue,
-                }
+                replayed.set(replayed.get() + servers[slot].recover(&kind));
                 state.mark_up(slot);
                 let missed = state.drain_missed(slot);
                 if !missed.is_empty() {

@@ -14,10 +14,11 @@
 //! share of the keyspace and never wraps (see the aliasing guard in
 //! `store.rs`).
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use crate::cache::{CacheConfig, CachedClient, LeaseState};
-use crate::durable::{build_durable, DurableClient, DurableConfig, DurableServer};
+use crate::durable::{connect, DurableConfig, DurableServer, Wiring};
 use crate::replication::{build_replicated_group, GroupView, ReplicaGroup};
 use crate::rpc::{Request, Response, RpcBatchFuture, RpcClient, RpcError, RpcFuture, RpcResult};
 use crate::store::MirrorRegion;
@@ -153,19 +154,6 @@ impl ShardedClient {
         }
     }
 
-    /// Like [`new`](ShardedClient::new), with one replica-group view per
-    /// shard so the router knows each shard's promotion state.
-    pub fn with_views(
-        map: ShardMap,
-        shards: Vec<Box<dyn RpcClient>>,
-        views: Vec<GroupView>,
-    ) -> Self {
-        assert_eq!(map.shards(), views.len(), "one group view per shard");
-        let mut c = ShardedClient::new(map, shards);
-        c.views = views;
-        c
-    }
-
     /// The promotion epoch shard `shard`'s routing is on (`None` for
     /// unreplicated topologies).
     pub fn shard_epoch(&self, shard: usize) -> Option<u64> {
@@ -176,11 +164,6 @@ impl ShardedClient {
     /// unreplicated topologies).
     pub fn primary_of(&self, shard: usize) -> Option<usize> {
         self.views.get(shard).map(GroupView::primary_node)
-    }
-
-    /// The shard map.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
     }
 
     /// Batched call with structured per-shard outcomes: one shard's
@@ -209,13 +192,10 @@ impl ShardedClient {
                 }
                 // Scans split across shards; route through `call` on
                 // the shard owning the range start.
-                scan @ Request::Scan { .. } => {
-                    let shard = self.map.shard_of(match scan {
-                        Request::Scan { start, .. } => start,
-                        _ => unreachable!(),
-                    });
-                    (shard, scan)
-                }
+                Request::Scan { start, count, len } => (
+                    self.map.shard_of(start),
+                    Request::Scan { start, count, len },
+                ),
             };
             per_shard[routed.0].push((pos, routed.1));
         }
@@ -363,27 +343,55 @@ impl ShardBatchOutcome {
     }
 }
 
-/// One client's view of a sharded durable KV service, plus the per-shard
-/// server endpoints needed for recovery wiring.
+/// A sharded durable KV service: one router per client node plus the
+/// per-shard server side that recovery wiring needs. Unreplicated shards
+/// keep their connections' servers in `servers`; replicated shards keep
+/// their replica groups in `groups`. The other table is empty per shard.
 pub struct ShardedDurable {
-    /// One sharded router per client node, in `client_nodes` order.
+    /// One sharded router per client node, in `client_nodes` order
+    /// (promotion-aware when the shards are replicated).
     pub clients: Vec<ShardedClient>,
     /// `servers[shard][client]`: the server endpoint of the connection
-    /// between `client_nodes[client]` and shard `shard` (each connection
-    /// owns its per-connection redo log on the shard's PM, as in the
-    /// paper; the object store is shared per shard).
+    /// between `client_nodes[client]` and unreplicated shard `shard`
+    /// (each connection owns its per-connection redo log on the shard's
+    /// PM, as in the paper; the object store is shared per shard).
     pub servers: Vec<Vec<Rc<DurableServer>>>,
+    /// `groups[shard][client]`: the replica group behind the connection
+    /// between `client_nodes[client]` and replicated shard `shard`.
+    pub groups: Vec<Vec<ReplicaGroup>>,
+    /// Entries replayed on unreplicated shards (groups count their own).
+    replayed: Rc<Cell<usize>>,
 }
 
 impl ShardedDurable {
-    /// Recover shard `shard` after a node crash: replay every
-    /// per-connection log on that server (and only that server). Returns
-    /// the number of entries re-enqueued across the shard's logs.
-    pub fn recover_shard(&self, shard: usize) -> usize {
-        self.servers[shard]
+    /// Wire crash recovery into the fault injector. A replicated shard
+    /// fails over (instant promotion at crash time, replay + rejoin +
+    /// catch-up at restart; see [`ReplicaGroup::wire_failover`]). An
+    /// unreplicated shard `s` runs [`DurableServer::recover`] on every
+    /// per-connection log of its server when server node `s` restarts —
+    /// and only that server: the other shards never see the fault.
+    pub fn wire_failover(&self, inj: &FaultInjector) {
+        for g in self.groups.iter().flatten() {
+            g.wire_failover(inj);
+        }
+        let servers = self.servers.clone();
+        let replayed = Rc::clone(&self.replayed);
+        inj.on_recovery(move |node, kind| {
+            for s in servers.get(node).into_iter().flatten() {
+                replayed.set(replayed.get() + s.recover(&kind));
+            }
+        });
+    }
+
+    /// Log entries replayed by recovery hooks so far, across all shards.
+    pub fn replayed(&self) -> usize {
+        let groups: usize = self
+            .groups
             .iter()
-            .map(|s| s.recover_and_requeue().len())
-            .sum()
+            .flatten()
+            .map(ReplicaGroup::replayed)
+            .sum();
+        self.replayed.get() + groups
     }
 }
 
@@ -393,135 +401,34 @@ impl ShardedDurable {
 /// per-connection redo log — to every shard. Per-shard object-store
 /// regions are sized from `cfg.store_capacity` as configured by the
 /// caller (size it to `map.local_span(objects) * object_slot` so slots
-/// never wrap). All server loops are started.
+/// never wrap). All server loops are started; call
+/// [`ShardedDurable::wire_failover`] to attach crash recovery to a fault
+/// injector.
 pub fn build_sharded_durable(
     cluster: &Cluster,
     map: ShardMap,
     client_nodes: &[usize],
     cfg: &DurableConfig,
 ) -> ShardedDurable {
-    let shards = map.shards();
-    assert!(
-        cluster.servers() >= shards,
-        "cluster has {} server nodes, need {shards}",
-        cluster.servers()
-    );
-    let mut servers: Vec<Vec<Rc<DurableServer>>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut clients = Vec::with_capacity(client_nodes.len());
-    for (lane, &client_idx) in client_nodes.iter().enumerate() {
-        let mut per_shard: Vec<Box<dyn RpcClient>> = Vec::with_capacity(shards);
-        for (shard, shard_servers) in servers.iter_mut().enumerate() {
-            let (c, s): (DurableClient, DurableServer) =
-                build_durable(cluster, client_idx, shard, lane, cfg.clone());
-            s.start();
-            shard_servers.push(Rc::new(s));
-            per_shard.push(Box::new(c));
-        }
-        clients.push(ShardedClient::new(map, per_shard));
-    }
-    ShardedDurable { clients, servers }
+    build_fleet(cluster, map, client_nodes, 0, cfg, None).0
 }
 
-/// A sharded durable KV service whose shards are primary–backup replica
-/// groups: shard `s`'s primary lives on server node `s` and its backups
-/// on the next server nodes (mod shard count), so every node hosts one
-/// primary and backups for its neighbours.
-pub struct ReplicatedSharded {
-    /// One promotion-aware sharded router per client node, in
-    /// `client_nodes` order.
-    pub clients: Vec<ShardedClient>,
-    /// `groups[shard][client]`: the replica group behind the connection
-    /// between `client_nodes[client]` and shard `shard`.
-    pub groups: Vec<Vec<ReplicaGroup>>,
-}
-
-impl ReplicatedSharded {
-    /// Wire every replica group's failover into the fault injector
-    /// (instant promotion at crash time, replay + rejoin + catch-up at
-    /// restart). See [`ReplicaGroup::wire_failover`].
-    pub fn wire_failover(&self, inj: &FaultInjector) {
-        for per_shard in &self.groups {
-            for g in per_shard {
-                g.wire_failover(inj);
-            }
-        }
-    }
-
-    /// Log entries replayed by recovery hooks so far, across all groups.
-    pub fn replayed(&self) -> usize {
-        self.groups
-            .iter()
-            .flat_map(|per_shard| per_shard.iter())
-            .map(ReplicaGroup::replayed)
-            .sum()
-    }
-}
-
-/// Build a replicated sharded durable KV service: like
-/// [`build_sharded_durable`], but each shard is served by a
+/// Like [`build_sharded_durable`], but each shard is served by a
 /// primary–backup group of `replicas` server nodes — shard `s` on nodes
-/// `[s, (s+1) % shards, …]` — and the routers learn each shard's
-/// promotion epoch. Each shard group keeps its own object-store region
+/// `[s, (s+1) % shards, …]`, so every node hosts one primary and backups
+/// for its neighbours — and the routers learn each shard's promotion
+/// epoch. Each shard group keeps its own object-store region
 /// (`objects-s<shard>`): a node hosting shard `s`'s primary and shard
-/// `s−1`'s backup never mixes their object spaces. All server loops are
-/// started; call [`ReplicatedSharded::wire_failover`] to attach fast
-/// failover to a fault injector.
+/// `s−1`'s backup never mixes their object spaces.
 pub fn build_replicated_sharded(
     cluster: &Cluster,
     map: ShardMap,
     client_nodes: &[usize],
     replicas: usize,
     cfg: &DurableConfig,
-) -> ReplicatedSharded {
-    let shards = map.shards();
-    assert!(
-        cluster.servers() >= shards,
-        "cluster has {} server nodes, need {shards}",
-        cluster.servers()
-    );
-    assert!(
-        (1..=shards).contains(&replicas),
-        "need 1..={shards} replicas per shard, got {replicas}"
-    );
-    let mut groups: Vec<Vec<ReplicaGroup>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut clients = Vec::with_capacity(client_nodes.len());
-    for (c, &client_idx) in client_nodes.iter().enumerate() {
-        let mut per_shard: Vec<Box<dyn RpcClient>> = Vec::with_capacity(shards);
-        let mut views = Vec::with_capacity(shards);
-        for (shard, shard_groups) in groups.iter_mut().enumerate() {
-            let members: Vec<usize> = (0..replicas).map(|r| (shard + r) % shards).collect();
-            let (rc, group) = build_replicated_group(
-                cluster,
-                client_idx,
-                &members,
-                cfg,
-                (c * shards + shard) * replicas,
-                (c * shards + shard) as u64,
-                Some(format!("objects-s{shard}")),
-                None,
-            );
-            views.push(rc.view());
-            per_shard.push(Box::new(rc));
-            shard_groups.push(group);
-        }
-        clients.push(ShardedClient::with_views(map, per_shard, views));
-    }
-    ReplicatedSharded { clients, groups }
-}
-
-/// Build one shard's lease table: when the one-sided tier is enabled the
-/// table is backed by a mirror region carved out of the *top half* of the
-/// shard server's DRAM (the bottom is owned by the per-lane GET
-/// descriptor slots), shared by every client of the shard.
-fn shard_lease(cluster: &Cluster, shard: usize, cache: &CacheConfig) -> LeaseState {
-    if cache.mirror {
-        let dram = cluster.node(shard).dram.clone();
-        let base = dram.capacity() / 2;
-        let mirror = MirrorRegion::new(dram, base, cache.mirror_slot_bytes(), cache.mirror_slots);
-        LeaseState::with_mirror(shard as u64, mirror)
-    } else {
-        LeaseState::new(shard as u64)
-    }
+) -> ShardedDurable {
+    assert!(replicas > 0, "need at least one replica per shard");
+    build_fleet(cluster, map, client_nodes, replicas, cfg, None).0
 }
 
 /// Like [`build_sharded_durable`], with the hot-key lease cache and the
@@ -539,42 +446,7 @@ pub fn build_sharded_durable_cached(
     cfg: &DurableConfig,
     cache: &CacheConfig,
 ) -> (ShardedDurable, Vec<LeaseState>) {
-    let shards = map.shards();
-    assert!(
-        cluster.servers() >= shards,
-        "cluster has {} server nodes, need {shards}",
-        cluster.servers()
-    );
-    let leases: Vec<LeaseState> = (0..shards)
-        .map(|shard| shard_lease(cluster, shard, cache))
-        .collect();
-    let mut servers: Vec<Vec<Rc<DurableServer>>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut clients = Vec::with_capacity(client_nodes.len());
-    for (lane, &client_idx) in client_nodes.iter().enumerate() {
-        let mut per_shard: Vec<Box<dyn RpcClient>> = Vec::with_capacity(shards);
-        for (shard, shard_servers) in servers.iter_mut().enumerate() {
-            let mut sub_cfg = cfg.clone();
-            sub_cfg.lease = Some(leases[shard].clone());
-            let (c, s): (DurableClient, DurableServer) =
-                build_durable(cluster, client_idx, shard, lane, sub_cfg);
-            s.start();
-            shard_servers.push(Rc::new(s));
-            let mirror_qp = cache
-                .mirror
-                .then(|| cluster.connect(client_idx, shard, QpMode::Rc).0);
-            per_shard.push(Box::new(CachedClient::new(
-                Box::new(c),
-                leases[shard].clone(),
-                *cache,
-                cluster.node(client_idx).clone(),
-                shard as u32,
-                mirror_qp,
-                None,
-            )));
-        }
-        clients.push(ShardedClient::new(map, per_shard));
-    }
-    (ShardedDurable { clients, servers }, leases)
+    build_fleet(cluster, map, client_nodes, 0, cfg, Some(cache))
 }
 
 /// Like [`build_replicated_sharded`], with the hot-key lease cache in
@@ -591,7 +463,41 @@ pub fn build_replicated_sharded_cached(
     replicas: usize,
     cfg: &DurableConfig,
     cache: &CacheConfig,
-) -> (ReplicatedSharded, Vec<LeaseState>) {
+) -> (ShardedDurable, Vec<LeaseState>) {
+    assert!(replicas > 0, "need at least one replica per shard");
+    build_fleet(cluster, map, client_nodes, replicas, cfg, Some(cache))
+}
+
+/// Build one shard's lease table: when the one-sided tier is enabled the
+/// table is backed by a mirror region carved out of the *top half* of the
+/// shard server's DRAM (the bottom is owned by the per-lane GET
+/// descriptor slots), shared by every client of the shard.
+fn shard_lease(cluster: &Cluster, shard: usize, cache: &CacheConfig) -> LeaseState {
+    if cache.mirror {
+        let dram = cluster.node(shard).dram.clone();
+        let base = dram.capacity() / 2;
+        let mirror = MirrorRegion::new(dram, base, cache.mirror_slot_bytes(), cache.mirror_slots);
+        LeaseState::with_mirror(shard as u64, mirror)
+    } else {
+        LeaseState::new(shard as u64)
+    }
+}
+
+/// The one construction loop behind the sharded builders: one connection
+/// per (client, shard) pair, client-major. `replicas == 0` connects to
+/// shard `s`'s server node `s` on lane = client position; otherwise shard
+/// `s` is a replica group on nodes `[s, (s+1) % shards, …]` whose lanes
+/// start at `(client * shards + s) * replicas`. `cache`, when given, puts
+/// a [`CachedClient`] over each endpoint; replicated shards never get the
+/// mirror tier. Returns the per-shard lease tables (empty without cache).
+fn build_fleet(
+    cluster: &Cluster,
+    map: ShardMap,
+    client_nodes: &[usize],
+    replicas: usize,
+    cfg: &DurableConfig,
+    cache: Option<&CacheConfig>,
+) -> (ShardedDurable, Vec<LeaseState>) {
     let shards = map.shards();
     assert!(
         cluster.servers() >= shards,
@@ -599,47 +505,80 @@ pub fn build_replicated_sharded_cached(
         cluster.servers()
     );
     assert!(
-        (1..=shards).contains(&replicas),
-        "need 1..={shards} replicas per shard, got {replicas}"
+        replicas <= shards,
+        "need at most {shards} replicas per shard, got {replicas}"
     );
-    let mut cache_cfg = *cache;
-    cache_cfg.mirror = false;
-    let leases: Vec<LeaseState> = (0..shards)
-        .map(|shard| LeaseState::new(shard as u64))
-        .collect();
+    let cache = cache.map(|c| CacheConfig {
+        mirror: c.mirror && replicas == 0,
+        ..*c
+    });
+    let leases: Vec<LeaseState> = match &cache {
+        Some(c) => (0..shards).map(|s| shard_lease(cluster, s, c)).collect(),
+        None => Vec::new(),
+    };
+    let mut servers: Vec<Vec<Rc<DurableServer>>> = (0..shards).map(|_| Vec::new()).collect();
     let mut groups: Vec<Vec<ReplicaGroup>> = (0..shards).map(|_| Vec::new()).collect();
     let mut clients = Vec::with_capacity(client_nodes.len());
     for (c, &client_idx) in client_nodes.iter().enumerate() {
         let mut per_shard: Vec<Box<dyn RpcClient>> = Vec::with_capacity(shards);
-        let mut views = Vec::with_capacity(shards);
-        for (shard, shard_groups) in groups.iter_mut().enumerate() {
-            let members: Vec<usize> = (0..replicas).map(|r| (shard + r) % shards).collect();
-            let (rc, group) = build_replicated_group(
-                cluster,
-                client_idx,
-                &members,
-                cfg,
-                (c * shards + shard) * replicas,
-                (c * shards + shard) as u64,
-                Some(format!("objects-s{shard}")),
-                Some(leases[shard].clone()),
-            );
-            let view = rc.view();
-            views.push(view.clone());
-            per_shard.push(Box::new(CachedClient::new(
-                Box::new(rc),
-                leases[shard].clone(),
-                cache_cfg,
-                cluster.node(client_idx).clone(),
-                shard as u32,
-                None,
-                Some(view),
-            )));
-            shard_groups.push(group);
+        let mut views = Vec::new();
+        for shard in 0..shards {
+            let wiring = Wiring {
+                lease: cache.map(|_| leases[shard].clone()),
+                ..Wiring::default()
+            };
+            let (endpoint, view, mirror_qp): (Box<dyn RpcClient>, _, _) = if replicas == 0 {
+                let (dc, s) = connect(cluster, client_idx, shard, c, cfg, wiring);
+                s.start();
+                servers[shard].push(Rc::new(s));
+                let mirror_qp = cache
+                    .filter(|k| k.mirror)
+                    .map(|_| cluster.connect(client_idx, shard, QpMode::Rc).0);
+                (Box::new(dc), None, mirror_qp)
+            } else {
+                let members: Vec<usize> = (0..replicas).map(|r| (shard + r) % shards).collect();
+                let tag = c * shards + shard;
+                let wiring = Wiring {
+                    store_region: Some(format!("objects-s{shard}")),
+                    ..wiring
+                };
+                let (rc, group) = build_replicated_group(
+                    cluster,
+                    client_idx,
+                    &members,
+                    cfg,
+                    tag * replicas,
+                    tag as u64,
+                    wiring,
+                );
+                groups[shard].push(group);
+                views.push(rc.view());
+                (Box::new(rc), views.last().cloned(), None)
+            };
+            per_shard.push(match cache {
+                Some(k) => Box::new(CachedClient::new(
+                    endpoint,
+                    leases[shard].clone(),
+                    k,
+                    cluster.node(client_idx).clone(),
+                    shard as u32,
+                    mirror_qp,
+                    view,
+                )),
+                None => endpoint,
+            });
         }
-        clients.push(ShardedClient::with_views(map, per_shard, views));
+        let mut router = ShardedClient::new(map, per_shard);
+        router.views = views;
+        clients.push(router);
     }
-    (ReplicatedSharded { clients, groups }, leases)
+    let fleet = ShardedDurable {
+        clients,
+        servers,
+        groups,
+        replayed: Rc::default(),
+    };
+    (fleet, leases)
 }
 
 #[cfg(test)]

@@ -49,10 +49,10 @@ use prdma_node::{Cluster, FaultInjector, Node};
 use prdma_rnic::Payload;
 use prdma_simnet::fault::FaultKind;
 use prdma_simnet::journal::{EventKind, Subsystem};
-use prdma_simnet::{Semaphore, SimHandle};
+use prdma_simnet::{Semaphore, SimDuration, SimHandle};
 
 use crate::cache::LeaseState;
-use crate::durable::{build_durable, DurableClient, DurableConfig, DurableServer};
+use crate::durable::{connect, DurableClient, DurableConfig, DurableServer, Wiring};
 use crate::log::{LogEntry, OpCode, RedoLog};
 use crate::rpc::{Request, RpcClient, RpcResult};
 use crate::shard::ShardMap;
@@ -578,11 +578,6 @@ impl TxnClient {
         self.aborts.get()
     }
 
-    /// The shard map.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
     /// Install a commit-pipeline observation hook (see [`TxnPhase`]).
     pub fn set_phase_hook(&self, f: impl FnMut(TxnPhase) + 'static) {
         *self.hook.borrow_mut() = Some(Box::new(f));
@@ -844,10 +839,10 @@ impl ShardedTxn {
     /// ones stay staged and locked. Returns the entries re-enqueued.
     pub fn recover_shard(&self, shard: usize) -> usize {
         self.directory.forget_volatile();
-        self.servers[shard]
-            .iter()
-            .map(|s| s.recover_and_requeue().len())
-            .sum()
+        let crash = FaultKind::NodeCrash {
+            down_for: SimDuration::ZERO,
+        };
+        self.servers[shard].iter().map(|s| s.recover(&crash)).sum()
     }
 
     /// Transactions currently in doubt (staged, unresolved) on `shard`.
@@ -869,7 +864,7 @@ impl ShardedTxn {
             if let Some(shard_servers) = servers.get(node) {
                 dir.forget_volatile();
                 for s in shard_servers {
-                    s.recover_and_requeue();
+                    s.recover(&kind);
                 }
             }
         });
@@ -904,10 +899,12 @@ pub fn build_sharded_txn(
         let mut per_shard = Vec::with_capacity(shards);
         let mut sems = Vec::with_capacity(shards);
         for (shard, shard_servers) in servers.iter_mut().enumerate() {
-            let mut sub_cfg = cfg.clone();
-            sub_cfg.txn = Some(states[shard].clone());
-            sub_cfg.lease = Some(leases[shard].clone());
-            let (c, s) = build_durable(cluster, client_idx, shard, lane, sub_cfg);
+            let wiring = Wiring {
+                lease: Some(leases[shard].clone()),
+                txn: Some(states[shard].clone()),
+                ..Wiring::default()
+            };
+            let (c, s) = connect(cluster, client_idx, shard, lane, cfg, wiring);
             s.start();
             directory.register(shard, s.log().clone());
             shard_servers.push(Rc::new(s));

@@ -63,9 +63,10 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Register a recovery hook. Hooks run synchronously at every
     /// recovery point (node restart, service restart, SRAM-loss reset),
-    /// in registration order — typically a redo-log replay
-    /// (`DurableServer::recover_and_requeue`). Register before the
-    /// simulation runs past the first fault.
+    /// in registration order — typically a redo-log replay through
+    /// `DurableServer::recover(&kind)`, which picks the replay that fits
+    /// the fault. Register before the simulation runs past the first
+    /// fault.
     pub fn on_recovery<F: Fn(usize, FaultKind) + 'static>(&self, hook: F) {
         self.inner.hooks.borrow_mut().push(Box::new(hook));
     }

@@ -5,9 +5,6 @@
 //! responses, and co-batching a scan must not evict the puts/gets from
 //! the doorbell-batched flush path.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use prdma_suite::core::{
     build_sharded_durable, DurableConfig, DurableKind, Request, RetryPolicy, RpcClient,
     ServerProfile, ShardMap,
@@ -60,7 +57,7 @@ fn batch_cluster(
 fn batched_puts_crash_retry_is_exactly_once() {
     for kind in DurableKind::ALL {
         let mut sim = Sim::new(0xBA7C ^ kind as u64);
-        let (cluster, svc) = batch_cluster(&sim, kind, 200);
+        let (cluster, mut svc) = batch_cluster(&sim, kind, 200);
         // 8 µs: for every kind, part of the batch has flush-ACKed but
         // the chunk has not — the crash forces a whole-chunk retry that
         // overlaps the replayed suffix.
@@ -72,18 +69,9 @@ fn batched_puts_crash_retry_is_exactly_once() {
             },
         );
         let inj = cluster.inject_faults(plan);
-        let replayed = Rc::new(Cell::new(0usize));
-        {
-            let replayed = Rc::clone(&replayed);
-            let shard0: Vec<_> = svc.servers[0].clone();
-            inj.on_recovery(move |node, k| {
-                assert_eq!(node, 0, "{kind:?}: only shard 0 crashes");
-                if matches!(k, FaultKind::NodeCrash { .. }) {
-                    replayed.set(shard0.iter().map(|s| s.recover_and_requeue().len()).sum());
-                }
-            });
-        }
-        let client = svc.clients.into_iter().next().unwrap();
+        svc.wire_failover(&inj);
+        inj.on_recovery(move |node, _| assert_eq!(node, 0, "{kind:?}: only shard 0 crashes"));
+        let client = std::mem::take(&mut svc.clients).remove(0);
         let h = sim.handle();
         sim.block_on(async move {
             // 16 puts, 8 per shard (striped: even → 0, odd → 1). The
@@ -104,7 +92,7 @@ fn batched_puts_crash_retry_is_exactly_once() {
             h.sleep(SimDuration::from_millis(5)).await;
         });
         assert_eq!(inj.stats().node_crashes, 1, "{kind:?}");
-        assert!(replayed.get() > 0, "{kind:?}: recovery replayed nothing");
+        assert!(svc.replayed() > 0, "{kind:?}: recovery replayed nothing");
         // The overlap between replayed and re-sent entries was deduped,
         // not double-applied.
         let deduped: u64 = svc.servers[0].iter().map(|s| s.puts_deduped()).sum();

@@ -160,11 +160,7 @@ fn backup_promotion_revokes_client_leases() {
         },
     );
     let inj = cluster.inject_faults(plan);
-    for shard_groups in &svc.groups {
-        for group in shard_groups {
-            group.wire_failover(&inj);
-        }
-    }
+    svc.wire_failover(&inj);
     let view = svc.groups[0][0].view();
     let client = Rc::new(svc.clients.into_iter().next().unwrap());
     let h = sim.handle();

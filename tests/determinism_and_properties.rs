@@ -681,8 +681,9 @@ type FleetPin = (u64, u64, usize, u64, usize);
 
 /// One journaled run of `fleet` on two shards (server nodes 0 and 1) and
 /// two client nodes, with a `NodeCrash` of server node 0 landing
-/// mid-stream and recovery wired into the fault injector. Every put (or
-/// transaction) must succeed; the auditor must pass. `replayed` is the
+/// mid-stream and recovery wired into the fault injector. Every put and
+/// get must succeed (transactions may abort); the auditor must pass.
+/// `replayed` is the
 /// fleet handle's replay count, or for transactions the node-0
 /// `log_replayed` counter.
 fn fleet_run(fleet: Fleet) -> FleetPin {
@@ -694,8 +695,6 @@ fn fleet_run(fleet: Fleet) -> FleetPin {
     use prdma_suite::simnet::fault::{FaultKind, FaultPlan};
     use prdma_suite::simnet::metrics::Key;
     use prdma_suite::simnet::{SimDuration, SimTime};
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     const OPS: u64 = 12;
     let mut sim = Sim::new(20211114 ^ fleet as u64);
@@ -771,30 +770,17 @@ fn fleet_run(fleet: Fleet) -> FleetPin {
     };
 
     let replayed = match fleet {
-        Fleet::Sharded | Fleet::ShardedCachedMirror => {
-            let svc = if matches!(fleet, Fleet::Sharded) {
-                build_sharded_durable(&cluster, map, &clients, &cfg)
-            } else {
-                build_sharded_durable_cached(&cluster, map, &clients, &cfg, &cache).0
-            };
-            let replayed = Rc::new(Cell::new(0usize));
-            {
-                let replayed = Rc::clone(&replayed);
-                let shard0: Vec<_> = svc.servers[0].clone();
-                inj.on_recovery(move |node, k| {
-                    if node == 0 && matches!(k, FaultKind::NodeCrash { .. }) {
-                        replayed.set(shard0.iter().map(|s| s.recover_and_requeue().len()).sum());
-                    }
-                });
-            }
-            sim.block_on(drive(svc.clients));
-            replayed.get()
-        }
-        Fleet::Replicated | Fleet::ReplicatedCached => {
-            let mut svc = if matches!(fleet, Fleet::Replicated) {
-                build_replicated_sharded(&cluster, map, &clients, 2, &cfg)
-            } else {
-                build_replicated_sharded_cached(&cluster, map, &clients, 2, &cfg, &cache).0
+        Fleet::Sharded
+        | Fleet::ShardedCachedMirror
+        | Fleet::Replicated
+        | Fleet::ReplicatedCached => {
+            let mut svc = match fleet {
+                Fleet::Sharded => build_sharded_durable(&cluster, map, &clients, &cfg),
+                Fleet::ShardedCachedMirror => {
+                    build_sharded_durable_cached(&cluster, map, &clients, &cfg, &cache).0
+                }
+                Fleet::Replicated => build_replicated_sharded(&cluster, map, &clients, 2, &cfg),
+                _ => build_replicated_sharded_cached(&cluster, map, &clients, 2, &cfg, &cache).0,
             };
             svc.wire_failover(&inj);
             sim.block_on(drive(std::mem::take(&mut svc.clients)));

@@ -73,9 +73,7 @@ fn every_durable_kind_survives_a_mid_rpc_node_crash() {
         );
         let inj = cluster.inject_faults(plan);
         inj.on_recovery(move |_, k| {
-            if matches!(k, FaultKind::NodeCrash { .. }) {
-                server.recover_and_requeue();
-            }
+            server.recover(&k);
         });
         let pm = cluster.node(0).pm.clone();
         let h = sim.handle();
@@ -129,9 +127,7 @@ fn service_crash_requeues_pending_entries() {
     );
     let inj = cluster.inject_faults(plan);
     inj.on_recovery(move |_, k| {
-        if matches!(k, FaultKind::ServiceCrash { .. }) {
-            server.recover_service_and_requeue();
-        }
+        server.recover(&k);
     });
     let pm = cluster.node(0).pm.clone();
     let h = sim.handle();
@@ -212,14 +208,8 @@ fn seeded_fault_runs_are_byte_deterministic() {
                 },
             );
         let inj = cluster.inject_faults(plan);
-        inj.on_recovery(move |_, k| match k {
-            FaultKind::NodeCrash { .. } => {
-                server.recover_and_requeue();
-            }
-            FaultKind::ServiceCrash { .. } => {
-                server.recover_service_and_requeue();
-            }
-            _ => {}
+        inj.on_recovery(move |_, k| {
+            server.recover(&k);
         });
         let h = sim.handle();
         sim.block_on(async move {
@@ -284,9 +274,7 @@ fn crash_straddling_send_does_not_wedge_the_recv_ring() {
         let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
         server.start();
         inj.on_recovery(move |_, k| {
-            if matches!(k, FaultKind::NodeCrash { .. }) {
-                server.recover_and_requeue();
-            }
+            server.recover(&k);
         });
         let h = sim.handle();
         sim.block_on(async move {

@@ -141,9 +141,7 @@ fn jittered_retries_keep_journals_byte_deterministic() {
         );
         let inj = cluster.inject_faults(plan);
         inj.on_recovery(move |_, k| {
-            if matches!(k, FaultKind::NodeCrash { .. }) {
-                server.recover_and_requeue();
-            }
+            server.recover(&k);
         });
         let h = sim.handle();
         sim.block_on(async move {

@@ -5,7 +5,6 @@
 //! (journal auditor invariant I3 — and only that shard recovers), and
 //! that journals stay byte-deterministic for the same seed + plan.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use prdma_suite::core::{
@@ -63,7 +62,7 @@ fn sharded_cluster(sim: &Sim, kind: DurableKind) -> (Cluster, ShardedDurable) {
 fn one_shard_crash_leaves_the_other_serving() {
     for kind in DurableKind::ALL {
         let mut sim = Sim::new(0xD15C ^ kind as u64);
-        let (cluster, svc) = sharded_cluster(&sim, kind);
+        let (cluster, mut svc) = sharded_cluster(&sim, kind);
         let plan = FaultPlan::new().at(
             SimTime::from_nanos(CRASH_AT_NS),
             0,
@@ -72,20 +71,12 @@ fn one_shard_crash_leaves_the_other_serving() {
             },
         );
         let inj = cluster.inject_faults(plan);
-        let replayed = Rc::new(Cell::new(0usize));
-        {
-            let replayed = Rc::clone(&replayed);
-            let shard0: Vec<_> = svc.servers[0].clone();
-            inj.on_recovery(move |node, k| {
-                assert_eq!(node, 0, "{kind:?}: only shard 0 was scheduled to crash");
-                if matches!(k, FaultKind::NodeCrash { .. }) {
-                    // Per-shard recovery: replay shard 0's logs, nobody
-                    // else's.
-                    replayed.set(shard0.iter().map(|s| s.recover_and_requeue().len()).sum());
-                }
-            });
-        }
-        let client = Rc::new(svc.clients.into_iter().next().unwrap());
+        // Per-shard recovery: replay shard 0's logs, nobody else's.
+        svc.wire_failover(&inj);
+        inj.on_recovery(move |node, _| {
+            assert_eq!(node, 0, "{kind:?}: only shard 0 was scheduled to crash");
+        });
+        let client = Rc::new(std::mem::take(&mut svc.clients).remove(0));
         let h = sim.handle();
         let survivors_during_outage = sim.block_on({
             let client = Rc::clone(&client);
@@ -136,7 +127,7 @@ fn one_shard_crash_leaves_the_other_serving() {
             "{kind:?}: shard 1 completed no puts while shard 0 was down"
         );
         assert!(
-            replayed.get() > 0,
+            svc.replayed() > 0,
             "{kind:?}: crash landed but recovery replayed nothing"
         );
         // Every flush-ACKed put's bytes are in the owning shard's
@@ -186,16 +177,7 @@ fn sharded_fault_runs_are_byte_deterministic() {
                 },
             );
         let inj = cluster.inject_faults(plan);
-        {
-            let shard0: Vec<_> = svc.servers[0].clone();
-            inj.on_recovery(move |_, k| {
-                if matches!(k, FaultKind::NodeCrash { .. }) {
-                    for s in &shard0 {
-                        s.recover_and_requeue();
-                    }
-                }
-            });
-        }
+        svc.wire_failover(&inj);
         let client = svc.clients.into_iter().next().unwrap();
         let h = sim.handle();
         sim.block_on(async move {
@@ -219,4 +201,56 @@ fn sharded_fault_runs_are_byte_deterministic() {
     assert_eq!(a, b, "same seed + same plan must reproduce byte-for-byte");
     let c = sharded_journal(52);
     assert_ne!(a, c, "different seed should perturb the schedule");
+}
+
+/// A service-only crash on shard 0's server (NIC and PM stay up): its
+/// logs keep absorbing appends while the service is away, and at restart
+/// `wire_failover` requeues the un-done suffix without rewinding cursors.
+/// Every put on both shards must succeed, land in the owning shard's
+/// persistent PM, and pass the auditor.
+#[test]
+fn one_shard_service_crash_requeues_its_pending_entries() {
+    for kind in DurableKind::ALL {
+        let mut sim = Sim::new(0x5E7C ^ kind as u64);
+        let (cluster, mut svc) = sharded_cluster(&sim, kind);
+        let plan = FaultPlan::new().at(
+            SimTime::from_nanos(CRASH_AT_NS),
+            0,
+            FaultKind::ServiceCrash {
+                down_for: SimDuration::from_nanos(DOWN_FOR_NS),
+            },
+        );
+        let inj = cluster.inject_faults(plan);
+        svc.wire_failover(&inj);
+        let client = std::mem::take(&mut svc.clients).remove(0);
+        let h = sim.handle();
+        sim.block_on(async move {
+            for i in 0..2 * PUTS_PER_SHARD {
+                let data = Payload::from_bytes(vec![0xC0 + i as u8; VAL]);
+                client
+                    .call(Request::Put { obj: i, data })
+                    .await
+                    .unwrap_or_else(|e| panic!("{kind:?} put {i}: {e}"));
+                h.sleep(SimDuration::from_micros(20)).await;
+            }
+            // Drain decoupled processing, requeued entries included.
+            h.sleep(SimDuration::from_millis(5)).await;
+        });
+        assert_eq!(inj.stats().service_crashes, 1, "{kind:?}");
+        assert!(
+            svc.replayed() > 0,
+            "{kind:?}: service restart requeued nothing"
+        );
+        for global in 0..2 * PUTS_PER_SHARD {
+            let (shard, local) = ((global % 2) as usize, global / 2);
+            assert_eq!(
+                svc.servers[shard][0]
+                    .store()
+                    .persistent_bytes(local, VAL as u64),
+                vec![0xC0 + global as u8; VAL],
+                "{kind:?} shard {shard} local {local}"
+            );
+        }
+        cluster.audit_journal().assert_ok();
+    }
 }
